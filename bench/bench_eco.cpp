@@ -127,8 +127,7 @@ const char* modeName(core::EcoInfo::Mode mode) {
 
 int main(int argc, char** argv) {
   const std::string outPath = argc > 1 ? argv[1] : "BENCH_eco.json";
-  core::PacorConfig cfg = core::pacorDefaultConfig();
-  cfg.jobs = 1;
+  const core::PacorConfig cfg = core::pacorDefaultConfig();
 
   std::FILE* f = std::fopen(outPath.c_str(), "w");
   if (f == nullptr) {

@@ -1,8 +1,9 @@
 // FPVA scale-sweep benchmark: generates N x N programmable valve arrays
 // with the chip::generateFpvaChip defaults across a ladder of sizes,
-// routes each with the full PACOR flow serially and with the worker pool,
-// and writes per-stage wall time, search-effort counters, and the process
-// peak RSS to BENCH_fpva.json. The JSON shape matches BENCH_routing.json
+// routes each with the full PACOR flow twice (each a best-of-kRepetitions
+// run; the two solutions must be byte-identical), and writes per-stage
+// wall time, search-effort counters, and the process peak RSS to
+// BENCH_fpva.json. The JSON shape matches BENCH_routing.json
 // so bench/compare_baseline.py gates it unchanged (run with --golden=none:
 // FPVA instances are not part of the Table-1 golden set).
 //
@@ -16,7 +17,6 @@
 //   out.json  defaults to BENCH_fpva.json
 //   --sizes=  comma-separated square array sizes (rows = cols = N)
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -27,7 +27,6 @@
 #include "pacor/solution_io.hpp"
 #include "util/rss.hpp"
 #include "util/sha256.hpp"
-#include "util/thread_pool.hpp"
 #include "verify/oracle.hpp"
 
 namespace {
@@ -35,23 +34,7 @@ namespace {
 using pacor::core::PacorConfig;
 using pacor::core::PacorResult;
 
-constexpr int kRepetitions = 2;  ///< per design and mode; best time wins
-
-bool identicalRouting(const PacorResult& a, const PacorResult& b) {
-  if (a.complete != b.complete || a.totalChannelLength != b.totalChannelLength ||
-      a.matchedChannelLength != b.matchedChannelLength ||
-      a.matchedClusterCount != b.matchedClusterCount ||
-      a.clusters.size() != b.clusters.size())
-    return false;
-  for (std::size_t i = 0; i < a.clusters.size(); ++i) {
-    const auto& x = a.clusters[i];
-    const auto& y = b.clusters[i];
-    if (x.pin != y.pin || !(x.tap == y.tap) || x.treePaths != y.treePaths ||
-        x.escapePath != y.escapePath || x.totalLength != y.totalLength)
-      return false;
-  }
-  return true;
-}
+constexpr int kRepetitions = 2;  ///< per design and run; best time wins
 
 struct TimedRun {
   PacorResult result;
@@ -116,12 +99,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const int parallelJobs =
-      std::max(2, static_cast<int>(pacor::util::hardwareJobs()));
-  PacorConfig serialCfg = pacor::core::pacorDefaultConfig();
-  serialCfg.jobs = 1;
-  PacorConfig parallelCfg = serialCfg;
-  parallelCfg.jobs = parallelJobs;
+  const PacorConfig cfg = pacor::core::pacorDefaultConfig();
 
   std::FILE* f = std::fopen(outPath.c_str(), "w");
   if (f == nullptr) {
@@ -129,38 +107,37 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::fprintf(f, "{\n  \"benchmark\": \"fpva\",\n");
-  std::fprintf(f, "  \"repetitions\": %d,\n", kRepetitions);
-  std::fprintf(f, "  \"parallel_jobs\": %d,\n  \"designs\": [\n", parallelJobs);
+  std::fprintf(f, "  \"repetitions\": %d,\n  \"designs\": [\n", kRepetitions);
 
   double serialTotal = 0.0;
-  double parallelTotal = 0.0;
   bool allIdentical = true;
   bool allComplete = true;
   bool allClean = true;
 
-  std::printf("%-12s %8s %8s %10s %10s %8s  %s %s   (parallel = %d jobs)\n",
-              "Design", "valves", "clusters", "serial(s)", "par(s)", "rss(MB)",
-              "identical", "oracle", parallelJobs);
+  std::printf("%-12s %8s %8s %10s %10s %8s  %s %s\n", "Design", "valves",
+              "clusters", "serial(s)", "repeat(s)", "rss(MB)", "identical",
+              "oracle");
   for (std::size_t d = 0; d < sizes.size(); ++d) {
     pacor::chip::FpvaParams params;
     params.rows = sizes[d];
     params.cols = sizes[d];
     const auto chip = pacor::chip::generateFpvaChip(params);
 
-    const TimedRun serial = bestOf(chip, serialCfg);
-    const TimedRun parallel = bestOf(chip, parallelCfg);
-    const bool identical = identicalRouting(serial.result, parallel.result);
+    const TimedRun serial = bestOf(chip, cfg);
+    const TimedRun repeat = bestOf(chip, cfg);
+    // Byte-identity of two runs in one process: routing is deterministic.
+    const std::string solution = pacor::core::solutionToString(serial.result);
+    const bool identical = solution == pacor::core::solutionToString(repeat.result);
     const auto oracle = pacor::verify::verifySolution(chip, serial.result);
     const std::int64_t rssKb = pacor::util::peakRssKb();
     serialTotal += serial.seconds;
-    parallelTotal += parallel.seconds;
     allIdentical &= identical;
-    allComplete &= serial.result.complete && parallel.result.complete;
+    allComplete &= serial.result.complete && repeat.result.complete;
     allClean &= oracle.clean();
 
     std::printf("%-12s %8zu %8zu %10.3f %10.3f %8.1f  %-9s %s\n",
                 chip.name.c_str(), chip.valves.size(),
-                serial.result.clusters.size(), serial.seconds, parallel.seconds,
+                serial.result.clusters.size(), serial.seconds, repeat.seconds,
                 static_cast<double>(rssKb) / 1024.0, identical ? "yes" : "NO",
                 oracle.clean() ? "clean" : "DIRTY");
     if (!oracle.clean())
@@ -174,9 +151,6 @@ int main(int argc, char** argv) {
     std::fprintf(f, "      \"grid\": [%d, %d],\n", chip.routingGrid.width(),
                  chip.routingGrid.height());
     std::fprintf(f, "      \"serial_seconds\": %.6f,\n", serial.seconds);
-    std::fprintf(f, "      \"parallel_seconds\": %.6f,\n", parallel.seconds);
-    std::fprintf(f, "      \"speedup\": %.4f,\n",
-                 parallel.seconds > 0.0 ? serial.seconds / parallel.seconds : 0.0);
     std::fprintf(f, "      \"identical\": %s,\n", identical ? "true" : "false");
     std::fprintf(f, "      \"complete\": %s,\n",
                  serial.result.complete ? "true" : "false");
@@ -191,9 +165,7 @@ int main(int argc, char** argv) {
     std::fprintf(f, "      \"matched_clusters\": %d,\n",
                  serial.result.matchedClusterCount);
     std::fprintf(f, "      \"solution_sha256\": \"%s\",\n",
-                 pacor::util::sha256Hex(
-                     pacor::core::solutionToString(serial.result))
-                     .c_str());
+                 pacor::util::sha256Hex(solution).c_str());
     std::fprintf(f,
                  "      \"stage_seconds\": {\"clustering\": %.6f, "
                  "\"cluster_routing\": %.6f, \"escape\": %.6f, "
@@ -211,9 +183,6 @@ int main(int argc, char** argv) {
 
   std::fprintf(f, "  ],\n  \"summary\": {\n");
   std::fprintf(f, "    \"serial_seconds_total\": %.6f,\n", serialTotal);
-  std::fprintf(f, "    \"parallel_seconds_total\": %.6f,\n", parallelTotal);
-  std::fprintf(f, "    \"speedup\": %.4f,\n",
-               parallelTotal > 0.0 ? serialTotal / parallelTotal : 0.0);
   std::fprintf(f, "    \"peak_rss_kb\": %lld,\n",
                static_cast<long long>(pacor::util::peakRssKb()));
   std::fprintf(f, "    \"all_identical\": %s,\n", allIdentical ? "true" : "false");
@@ -222,10 +191,7 @@ int main(int argc, char** argv) {
                allClean ? "true" : "false");
   std::fclose(f);
 
-  std::printf("total: serial %.3fs, parallel %.3fs (%.2fx), peak RSS %.1f MB, "
-              "wrote %s\n",
-              serialTotal, parallelTotal,
-              parallelTotal > 0.0 ? serialTotal / parallelTotal : 0.0,
+  std::printf("total: serial %.3fs, peak RSS %.1f MB, wrote %s\n", serialTotal,
               static_cast<double>(pacor::util::peakRssKb()) / 1024.0,
               outPath.c_str());
   return allIdentical && allComplete && allClean ? 0 : 1;

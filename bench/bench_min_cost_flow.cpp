@@ -8,10 +8,7 @@
 //     timed region) vs. warm (one frozen network, rerun() per iteration --
 //     the incremental escape-session shape),
 //   * with the default Dial-bucket open list vs. the pure packed heap
-//     (setBucketQueue(false)) -- identical results, different queue,
-//   * with the classic one-path-per-pass SSP vs. fast mode
-//     (setFastSsp(true): blocking-flow multi-augmentation + bidirectional
-//     last unit).
+//     (setBucketQueue(false)) -- identical results, different queue.
 //
 // Per-iteration solver-effort counters (Dijkstra passes, settles, queue
 // traffic) are exported as benchmark counters, so a solver regression is
@@ -73,12 +70,9 @@ void reportCounters(benchmark::State& state, const MinCostFlow::Counters& c) {
       benchmark::Counter(static_cast<double>(c.settles), perIter);
   state.counters["pushes"] = benchmark::Counter(
       static_cast<double>(c.bucketPushes + c.heapPushes), perIter);
-  state.counters["multi_aug"] =
-      benchmark::Counter(static_cast<double>(c.multiAugPaths), perIter);
 }
 
 // state.range(0): grid size n. range(1): 1 = Dial buckets, 0 = pure heap.
-// range(2): 1 = fast mode (multi-aug + bidir), 0 = classic SSP.
 void BM_SolveCold(benchmark::State& state) {
   const GridSpec g{static_cast<std::int32_t>(state.range(0))};
   MinCostFlow::Counters total;
@@ -88,7 +82,6 @@ void BM_SolveCold(benchmark::State& state) {
     MinCostFlow solver(g.nodes());
     buildGrid(solver, g);
     solver.setBucketQueue(state.range(1) != 0);
-    solver.setFastSsp(state.range(2) != 0);
     state.ResumeTiming();
     const auto r = solver.run(g.s(), g.t());
     benchmark::DoNotOptimize(r);
@@ -100,7 +93,6 @@ void BM_SolveCold(benchmark::State& state) {
     total.settles += c.settles;
     total.bucketPushes += c.bucketPushes;
     total.heapPushes += c.heapPushes;
-    total.multiAugPaths += c.multiAugPaths;
     state.ResumeTiming();
   }
   reportCounters(state, total);
@@ -108,9 +100,7 @@ void BM_SolveCold(benchmark::State& state) {
   state.counters["cost"] = static_cast<double>(cost);
 }
 BENCHMARK(BM_SolveCold)
-    ->ArgsProduct({{120, 300}, {1, 0}, {0}})  // bucket vs heap, classic
-    ->Args({120, 1, 1})                       // fast mode, Table-1 scale
-    ->Args({300, 1, 1})                       // fast mode, FPVA scale
+    ->ArgsProduct({{120, 300}, {1, 0}})  // bucket vs heap
     ->Unit(benchmark::kMillisecond);
 
 // Warm rerun: one frozen network, resetFlow()+run() per iteration -- the
@@ -121,7 +111,6 @@ void BM_RerunWarm(benchmark::State& state) {
   buildGrid(solver, g);
   solver.freeze();
   solver.setBucketQueue(state.range(1) != 0);
-  solver.setFastSsp(state.range(2) != 0);
   solver.run(g.s(), g.t());  // populate the dirty lists once
   solver.resetCounters();
   std::int64_t flow = 0, cost = 0;
@@ -136,9 +125,7 @@ void BM_RerunWarm(benchmark::State& state) {
   state.counters["cost"] = static_cast<double>(cost);
 }
 BENCHMARK(BM_RerunWarm)
-    ->ArgsProduct({{120, 300}, {1, 0}, {0}})
-    ->Args({120, 1, 1})
-    ->Args({300, 1, 1})
+    ->ArgsProduct({{120, 300}, {1, 0}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

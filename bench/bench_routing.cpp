@@ -1,10 +1,10 @@
 // Reproducible end-to-end routing benchmark: routes every Table-1 design
-// with the full PACOR flow serially (jobs = 1) and with the worker pool
-// (jobs = max(2, hardware threads)), checks that the two results are
-// bit-identical, and writes the timings plus the pipeline's per-stage
-// time / search-effort counters to BENCH_routing.json in the working
-// directory. Intended for before/after comparisons of the routing
-// kernels: routed quality must not move, only the seconds.
+// with the full PACOR flow twice (each a best-of-kRepetitions run), checks
+// that the two solutions are byte-identical, and writes the timings plus
+// the pipeline's per-stage time / search-effort counters to
+// BENCH_routing.json in the working directory. Intended for before/after
+// comparisons of the routing kernels: routed quality must not move, only
+// the seconds.
 //
 // Each design record also carries an "eco" row: the best-of-kRepetitions
 // rerouteChip() latency for the canonical 1-valve-move edit (valve 0 to
@@ -14,7 +14,6 @@
 //
 // Usage: bench_routing [out.json]   (default: BENCH_routing.json)
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -27,30 +26,13 @@
 #include "pacor/solution_io.hpp"
 #include "util/rss.hpp"
 #include "util/sha256.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
 using pacor::core::PacorConfig;
 using pacor::core::PacorResult;
 
-constexpr int kRepetitions = 3;  ///< per design and mode; best time wins
-
-bool identicalRouting(const PacorResult& a, const PacorResult& b) {
-  if (a.complete != b.complete || a.totalChannelLength != b.totalChannelLength ||
-      a.matchedChannelLength != b.matchedChannelLength ||
-      a.matchedClusterCount != b.matchedClusterCount ||
-      a.clusters.size() != b.clusters.size())
-    return false;
-  for (std::size_t i = 0; i < a.clusters.size(); ++i) {
-    const auto& x = a.clusters[i];
-    const auto& y = b.clusters[i];
-    if (x.pin != y.pin || !(x.tap == y.tap) || x.treePaths != y.treePaths ||
-        x.escapePath != y.escapePath || x.totalLength != y.totalLength)
-      return false;
-  }
-  return true;
-}
+constexpr int kRepetitions = 3;  ///< per design and run; best time wins
 
 struct TimedRun {
   PacorResult result;
@@ -119,13 +101,7 @@ void jsonCounters(std::FILE* f, const char* key,
 
 int main(int argc, char** argv) {
   const std::string outPath = argc > 1 ? argv[1] : "BENCH_routing.json";
-  const int parallelJobs =
-      std::max(2, static_cast<int>(pacor::util::hardwareJobs()));
-
-  PacorConfig serialCfg = pacor::core::pacorDefaultConfig();
-  serialCfg.jobs = 1;
-  PacorConfig parallelCfg = serialCfg;
-  parallelCfg.jobs = parallelJobs;
+  const PacorConfig cfg = pacor::core::pacorDefaultConfig();
 
   std::FILE* f = std::fopen(outPath.c_str(), "w");
   if (f == nullptr) {
@@ -133,38 +109,32 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::fprintf(f, "{\n  \"benchmark\": \"routing\",\n");
-  std::fprintf(f, "  \"repetitions\": %d,\n", kRepetitions);
-  std::fprintf(f, "  \"parallel_jobs\": %d,\n  \"designs\": [\n", parallelJobs);
+  std::fprintf(f, "  \"repetitions\": %d,\n  \"designs\": [\n", kRepetitions);
 
   double serialTotal = 0.0;
-  double parallelTotal = 0.0;
   bool allIdentical = true;
   bool allComplete = true;
 
   const auto designs = pacor::chip::table1Designs();
-  std::printf("%-8s %10s %10s %8s  %s   (parallel = %d jobs)\n", "Design",
-              "serial(s)", "par(s)", "speedup", "identical", parallelJobs);
+  std::printf("%-8s %10s %10s  %s\n", "Design", "serial(s)", "repeat(s)",
+              "identical");
   for (std::size_t d = 0; d < designs.size(); ++d) {
     const auto chip = pacor::chip::generateChip(designs[d]);
-    const TimedRun serial = bestOf(chip, serialCfg);
-    const TimedRun parallel = bestOf(chip, parallelCfg);
-    const bool identical = identicalRouting(serial.result, parallel.result);
+    const TimedRun serial = bestOf(chip, cfg);
+    const TimedRun repeat = bestOf(chip, cfg);
+    // Byte-identity of two runs in one process: routing is deterministic.
+    const std::string solution = pacor::core::solutionToString(serial.result);
+    const bool identical = solution == pacor::core::solutionToString(repeat.result);
     serialTotal += serial.seconds;
-    parallelTotal += parallel.seconds;
     allIdentical &= identical;
-    allComplete &= serial.result.complete && parallel.result.complete;
+    allComplete &= serial.result.complete && repeat.result.complete;
 
-    std::printf("%-8s %10.3f %10.3f %8.2f  %s\n", chip.name.c_str(),
-                serial.seconds, parallel.seconds,
-                parallel.seconds > 0.0 ? serial.seconds / parallel.seconds : 0.0,
-                identical ? "yes" : "NO");
+    std::printf("%-8s %10.3f %10.3f  %s\n", chip.name.c_str(), serial.seconds,
+                repeat.seconds, identical ? "yes" : "NO");
 
     const auto& st = serial.result.times;
     std::fprintf(f, "    {\n      \"design\": \"%s\",\n", chip.name.c_str());
     std::fprintf(f, "      \"serial_seconds\": %.6f,\n", serial.seconds);
-    std::fprintf(f, "      \"parallel_seconds\": %.6f,\n", parallel.seconds);
-    std::fprintf(f, "      \"speedup\": %.4f,\n",
-                 parallel.seconds > 0.0 ? serial.seconds / parallel.seconds : 0.0);
     std::fprintf(f, "      \"identical\": %s,\n", identical ? "true" : "false");
     std::fprintf(f, "      \"complete\": %s,\n",
                  serial.result.complete ? "true" : "false");
@@ -177,9 +147,7 @@ int main(int argc, char** argv) {
     // Hash of the canonical solution text: lets compare_baseline.py verify
     // that routed quality only moves together with a golden-hash re-pin.
     std::fprintf(f, "      \"solution_sha256\": \"%s\",\n",
-                 pacor::util::sha256Hex(
-                     pacor::core::solutionToString(serial.result))
-                     .c_str());
+                 pacor::util::sha256Hex(solution).c_str());
     std::fprintf(f,
                  "      \"stage_seconds\": {\"clustering\": %.6f, "
                  "\"cluster_routing\": %.6f, \"escape\": %.6f, "
@@ -202,7 +170,7 @@ int main(int argc, char** argv) {
       for (int rep = 0; rep < kRepetitions; ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
         const PacorResult eco = pacor::core::rerouteChip(
-            chip, serial.result, delta, serialCfg, {}, &info);
+            chip, serial.result, delta, cfg, {}, &info);
         const double s = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - t0)
                              .count();
@@ -223,9 +191,6 @@ int main(int argc, char** argv) {
 
   std::fprintf(f, "  ],\n  \"summary\": {\n");
   std::fprintf(f, "    \"serial_seconds_total\": %.6f,\n", serialTotal);
-  std::fprintf(f, "    \"parallel_seconds_total\": %.6f,\n", parallelTotal);
-  std::fprintf(f, "    \"speedup\": %.4f,\n",
-               parallelTotal > 0.0 ? serialTotal / parallelTotal : 0.0);
   std::fprintf(f, "    \"peak_rss_kb\": %lld,\n",
                static_cast<long long>(pacor::util::peakRssKb()));
   std::fprintf(f, "    \"all_identical\": %s,\n", allIdentical ? "true" : "false");
@@ -233,9 +198,6 @@ int main(int argc, char** argv) {
                allComplete ? "true" : "false");
   std::fclose(f);
 
-  std::printf("total: serial %.3fs, parallel %.3fs (%.2fx), wrote %s\n",
-              serialTotal, parallelTotal,
-              parallelTotal > 0.0 ? serialTotal / parallelTotal : 0.0,
-              outPath.c_str());
+  std::printf("total: serial %.3fs, wrote %s\n", serialTotal, outPath.c_str());
   return allIdentical && allComplete ? 0 : 1;
 }

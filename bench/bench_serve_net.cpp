@@ -34,7 +34,7 @@
 // holds) and the post-drain resident count must stay within the cap.
 //
 // Usage: bench_serve_net [out.json] [--connect=HOST:PORT] [--requests=N]
-//          [--connections=C] [--skew=S] [--jobs=N] [--max-inflight=N]
+//          [--connections=C] [--skew=S] [--max-inflight=N]
 //          [--max-queue=N] [--deadline-ms=D] [--max-designs=N] [--seed=S]
 //          [--golden=PATH|none]
 
@@ -68,7 +68,6 @@ struct Options {
   int requests = 1000;
   int connections = 4;
   double skew = 1.0;
-  int jobs = 2;
   int maxInflight = 2;
   std::size_t maxQueue = 0;
   std::int64_t deadlineMs = 0;   ///< >0: append deadline_ms= to every request
@@ -80,7 +79,7 @@ struct Options {
 int usage() {
   std::fprintf(stderr,
                "usage: bench_serve_net [out.json] [--connect=HOST:PORT] "
-               "[--requests=N] [--connections=C] [--skew=S] [--jobs=N] "
+               "[--requests=N] [--connections=C] [--skew=S] "
                "[--max-inflight=N] [--max-queue=N] [--deadline-ms=D] "
                "[--max-designs=N] [--seed=S] [--golden=PATH|none]\n");
   return 2;
@@ -103,8 +102,6 @@ bool parseOptions(int argc, char** argv, Options& opt) {
         opt.connections = std::stoi(v.substr(14));
       } else if (v.rfind("--skew=", 0) == 0) {
         opt.skew = std::stod(v.substr(7));
-      } else if (v.rfind("--jobs=", 0) == 0) {
-        opt.jobs = std::stoi(v.substr(7));
       } else if (v.rfind("--max-inflight=", 0) == 0) {
         opt.maxInflight = std::stoi(v.substr(15));
       } else if (v.rfind("--max-queue=", 0) == 0) {
@@ -237,7 +234,6 @@ int main(int argc, char** argv) {
   std::uint16_t port = opt.connectPort;
   if (host.empty()) {
     serve::net::NetOptions netOpt;
-    netOpt.jobs = opt.jobs;
     netOpt.admission.maxInflight = opt.maxInflight;
     netOpt.admission.maxQueue = opt.maxQueue;
     if (opt.maxDesigns > 0) netOpt.admission.maxDesigns = opt.maxDesigns;

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <limits>
-#include <unordered_map>
 
 namespace pacor::graph {
 
@@ -506,67 +505,6 @@ void MinCostFlow::repairPotentials() {
   }
 }
 
-std::int64_t MinCostFlow::firstArcCode(std::size_t u) const {
-  if (csrStart_[u] < csrStart_[u + 1])
-    return static_cast<std::int64_t>(csrStart_[u]);
-  if (!ovHead_.empty() && ovHead_[u] != -1)
-    return -static_cast<std::int64_t>(ovHead_[u]) - 2;
-  return -1;
-}
-
-std::int64_t MinCostFlow::nextArcCode(std::size_t u, std::int64_t code) const {
-  if (code >= 0) {
-    const std::size_t k = static_cast<std::size_t>(code) + 1;
-    if (k < csrStart_[u + 1]) return static_cast<std::int64_t>(k);
-    if (!ovHead_.empty() && ovHead_[u] != -1)
-      return -static_cast<std::int64_t>(ovHead_[u]) - 2;
-    return -1;
-  }
-  const auto a = static_cast<std::size_t>(-code - 2);
-  const std::int32_t next = ovNext_[a - builtArcs_];
-  return next == -1 ? -1 : -static_cast<std::int64_t>(next) - 2;
-}
-
-std::int64_t MinCostFlow::residualOfCode(std::int64_t code) const {
-  return code >= 0 ? csrArc_[static_cast<std::size_t>(code)].cap
-                   : arcCap_[static_cast<std::size_t>(-code - 2)];
-}
-
-std::int32_t MinCostFlow::headOfCode(std::int64_t code) const {
-  return code >= 0 ? csrArc_[static_cast<std::size_t>(code)].to
-                   : arcTo_[static_cast<std::size_t>(-code - 2)];
-}
-
-std::int32_t MinCostFlow::tailOfCode(std::int64_t code) const {
-  if (code >= 0) {
-    const auto k = static_cast<std::size_t>(code);
-    return csrArc_[static_cast<std::size_t>(csrRev_[k])].to;
-  }
-  return arcFrom_[static_cast<std::size_t>(-code - 2)];
-}
-
-std::int64_t MinCostFlow::costOfCode(std::int64_t code) const {
-  return code >= 0 ? csrArc_[static_cast<std::size_t>(code)].cost
-                   : arcCost_[static_cast<std::size_t>(-code - 2)];
-}
-
-void MinCostFlow::pushOnCode(std::int64_t code, std::int64_t units) {
-  if (code >= 0) {
-    const auto k = static_cast<std::size_t>(code);
-    const auto r = static_cast<std::size_t>(csrRev_[k]);
-    csrArc_[k].cap -= units;
-    csrArc_[r].cap += units;
-    dirtyCsr_.push_back(static_cast<std::int32_t>(k));
-    dirtyCsr_.push_back(csrRev_[k]);
-  } else {
-    const auto a = static_cast<std::size_t>(-code - 2);
-    arcCap_[a] -= units;
-    arcCap_[a ^ 1] += units;
-    dirtyOv_.push_back(static_cast<std::int32_t>(a));
-    dirtyOv_.push_back(static_cast<std::int32_t>(a ^ 1));
-  }
-}
-
 std::int64_t MinCostFlow::remainingSinkCapacity(std::size_t t) const {
   // Residual capacity of every arc INTO t = the partners of t's outgoing
   // arcs (arcs come in 2e/2e+1 pairs). Every augmenting path is simple
@@ -580,260 +518,6 @@ std::int64_t MinCostFlow::remainingSinkCapacity(std::size_t t) const {
                        return false;
                      });
   return cap;
-}
-
-std::int64_t MinCostFlow::augmentTightPaths(std::size_t s, std::size_t t,
-                                            std::int64_t budget, std::int64_t& cost) {
-  // Blocking-flow DFS over the admissible subgraph: residual arcs whose
-  // reduced cost under the just-updated potentials is zero. Every tight
-  // s->t path costs exactly the pass's sink distance (reduced costs
-  // telescope to zero), so saturating any set of them preserves the SSP
-  // optimality invariant; reverse arcs of tight arcs are tight too, so
-  // the potentials stay valid for the next Dijkstra pass. Standard
-  // current-arc + blocked-node marking bounds the phase by O(arcs +
-  // paths * length); a node marked blocked cannot regain an admissible
-  // outgoing arc within the phase, because augmentations only add
-  // residual on reverse arcs out of on-path nodes.
-  const std::size_t n = nodes_.size();
-  if (dfsCur_.size() < n) {
-    dfsCur_.assign(n, -1);
-    dfsCurStamp_.assign(n, 0);
-    dfsBlockedStamp_.assign(n, 0);
-    dfsOnPathStamp_.assign(n, 0);
-  }
-  if (++dfsPhase_ == 0) {
-    std::fill(dfsCurStamp_.begin(), dfsCurStamp_.end(), 0);
-    std::fill(dfsBlockedStamp_.begin(), dfsBlockedStamp_.end(), 0);
-    dfsPhase_ = 1;
-  }
-  std::int64_t total = 0;
-  while (total < budget) {
-    if (++dfsPathId_ == 0) {
-      std::fill(dfsOnPathStamp_.begin(), dfsOnPathStamp_.end(), 0);
-      dfsPathId_ = 1;
-    }
-    dfsStackNode_.clear();
-    dfsStackArc_.clear();
-    dfsStackNode_.push_back(static_cast<std::int32_t>(s));
-    dfsOnPathStamp_[s] = dfsPathId_;
-    bool reached = false;
-    while (!dfsStackNode_.empty()) {
-      const auto u = static_cast<std::size_t>(dfsStackNode_.back());
-      if (u == t) {
-        reached = true;
-        break;
-      }
-      std::int64_t cur = dfsCurStamp_[u] == dfsPhase_ ? dfsCur_[u] : firstArcCode(u);
-      dfsCurStamp_[u] = dfsPhase_;
-      const std::int64_t potU = nodes_[u].potential;
-      std::int64_t chosen = -1;
-      for (; cur != -1; cur = nextArcCode(u, cur)) {
-        if (residualOfCode(cur) <= 0) continue;
-        const auto v = static_cast<std::size_t>(headOfCode(cur));
-        if (dfsBlockedStamp_[v] == dfsPhase_ || dfsOnPathStamp_[v] == dfsPathId_)
-          continue;
-        if (costOfCode(cur) + potU - nodes_[v].potential != 0) continue;
-        chosen = cur;
-        break;
-      }
-      dfsCur_[u] = cur;
-      // Arc codes are >= 0 (CSR) or <= -2 (overlay); only the -1 sentinel
-      // means no admissible arc survived the scan.
-      if (chosen == -1) {
-        dfsBlockedStamp_[u] = dfsPhase_;
-        dfsStackNode_.pop_back();
-        if (!dfsStackArc_.empty()) dfsStackArc_.pop_back();
-      } else {
-        const auto v = static_cast<std::size_t>(headOfCode(chosen));
-        dfsStackNode_.push_back(static_cast<std::int32_t>(v));
-        dfsOnPathStamp_[v] = dfsPathId_;
-        dfsStackArc_.push_back(chosen);
-      }
-    }
-    if (!reached) break;
-    std::int64_t push = budget - total;
-    for (const std::int64_t code : dfsStackArc_)
-      push = std::min(push, residualOfCode(code));
-    for (const std::int64_t code : dfsStackArc_) {
-      pushOnCode(code, push);
-      cost += push * costOfCode(code);
-    }
-    total += push;
-    ++counters_.augmentations;
-    ++counters_.multiAugPaths;
-  }
-  return total;
-}
-
-bool MinCostFlow::augmentBidir(std::size_t s, std::size_t t, std::int64_t& cost) {
-  // Bidirectional Dijkstra over reduced costs for the final unit of
-  // demand: forward from s over residual arcs, backward from t over the
-  // partners of each settled node's outgoing arcs (= its incoming residual
-  // arcs), stopping once the best meeting-node path cannot be beaten by
-  // the two frontier minima. The found path is a shortest path w.r.t.
-  // reduced (hence actual) cost, so augmenting it keeps the flow optimal;
-  // it is generally NOT tight under the current potentials, so they are
-  // flagged dirty for any later run() on the accumulated flow.
-  ++counters_.bidirPasses;
-  const std::size_t n = nodes_.size();
-  if (bnodes_.size() < n) bnodes_.assign(n, BNode{0, -1, 0, 0});
-  if (epoch_ == std::numeric_limits<std::uint32_t>::max()) {
-    for (Node& node : nodes_) node.distStamp = node.doneStamp = 0;
-    epoch_ = 0;
-  }
-  ++epoch_;
-  if (bepoch_ == std::numeric_limits<std::uint32_t>::max()) {
-    for (BNode& node : bnodes_) node.distStamp = node.doneStamp = 0;
-    bepoch_ = 0;
-  }
-  ++bepoch_;
-  heap_.clear();
-  heapB_.clear();
-
-  constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
-  std::int64_t best = kInf;
-  std::size_t meet = static_cast<std::size_t>(-1);
-  const auto consider = [&](std::size_t v) {
-    if (nodes_[v].distStamp == epoch_ && bnodes_[v].distStamp == bepoch_) {
-      const std::int64_t c = nodes_[v].dist + bnodes_[v].dist;
-      if (c < best) {
-        best = c;
-        meet = v;
-      }
-    }
-  };
-
-  const std::uint64_t nodeMask = (std::uint64_t{1} << nodeBits_) - 1;
-  nodes_[s].dist = 0;
-  nodes_[s].prevArc = -1;
-  nodes_[s].distStamp = epoch_;
-  bnodes_[t].dist = 0;
-  bnodes_[t].prevArc = -1;
-  bnodes_[t].distStamp = bepoch_;
-  heapPush(heap_, static_cast<std::uint64_t>(s));
-  heapPush(heapB_, static_cast<std::uint64_t>(t));
-  consider(s);
-  consider(t);
-
-  while (!heap_.empty() || !heapB_.empty()) {
-    const std::int64_t topF =
-        heap_.empty() ? kInf : static_cast<std::int64_t>(heap_.front() >> nodeBits_);
-    const std::int64_t topB =
-        heapB_.empty() ? kInf
-                       : static_cast<std::int64_t>(heapB_.front() >> nodeBits_);
-    if (best <= (topF >= kInf || topB >= kInf ? kInf : topF + topB)) break;
-    if (topF <= topB) {
-      const std::uint64_t top = heapPop(heap_);
-      ++counters_.queuePops;
-      const auto u = static_cast<std::size_t>(top & nodeMask);
-      if (nodes_[u].doneStamp == epoch_) continue;
-      nodes_[u].doneStamp = epoch_;
-      ++counters_.settles;
-      const auto d = static_cast<std::int64_t>(top >> nodeBits_);
-      const std::int64_t potU = nodes_[u].potential;
-      for (std::int64_t code = firstArcCode(u); code != -1;
-           code = nextArcCode(u, code)) {
-        if (residualOfCode(code) <= 0) continue;
-        const auto v = static_cast<std::size_t>(headOfCode(code));
-        Node& node = nodes_[v];
-        if (node.doneStamp == epoch_) continue;
-        const std::int64_t nd = d + costOfCode(code) + potU - node.potential;
-        assert(nd >= d && "reduced cost must be non-negative");
-        if (node.distStamp != epoch_ || nd < node.dist) {
-          node.dist = nd;
-          node.prevArc = static_cast<std::int32_t>(code);
-          node.distStamp = epoch_;
-          heapPush(heap_, (static_cast<std::uint64_t>(nd) << nodeBits_) |
-                              static_cast<std::uint64_t>(v));
-          ++counters_.heapPushes;
-          consider(v);
-        }
-      }
-    } else {
-      const std::uint64_t top = heapPop(heapB_);
-      ++counters_.queuePops;
-      const auto w = static_cast<std::size_t>(top & nodeMask);
-      if (bnodes_[w].doneStamp == bepoch_) continue;
-      bnodes_[w].doneStamp = bepoch_;
-      ++counters_.settles;
-      const auto d = static_cast<std::int64_t>(top >> nodeBits_);
-      const std::int64_t potW = nodes_[w].potential;
-      for (std::int64_t code = firstArcCode(w); code != -1;
-           code = nextArcCode(w, code)) {
-        // Partner arc: x -> w, the residual arc into w this step relaxes.
-        std::int64_t partner;
-        std::size_t x;
-        if (code >= 0) {
-          partner = static_cast<std::int64_t>(csrRev_[static_cast<std::size_t>(code)]);
-          x = static_cast<std::size_t>(csrArc_[static_cast<std::size_t>(code)].to);
-        } else {
-          const auto a = static_cast<std::size_t>(-code - 2);
-          partner = -static_cast<std::int64_t>(a ^ 1) - 2;
-          x = static_cast<std::size_t>(arcTo_[a]);
-        }
-        if (residualOfCode(partner) <= 0) continue;
-        BNode& node = bnodes_[x];
-        if (node.doneStamp == bepoch_) continue;
-        const std::int64_t nd =
-            d + costOfCode(partner) + nodes_[x].potential - potW;
-        assert(nd >= d && "reduced cost must be non-negative");
-        if (node.distStamp != bepoch_ || nd < node.dist) {
-          node.dist = nd;
-          node.prevArc = static_cast<std::int32_t>(partner);
-          node.distStamp = bepoch_;
-          heapPush(heapB_, (static_cast<std::uint64_t>(nd) << nodeBits_) |
-                               static_cast<std::uint64_t>(x));
-          ++counters_.heapPushes;
-          consider(x);
-        }
-      }
-    }
-  }
-  if (meet == static_cast<std::size_t>(-1)) return false;
-
-  // Stitch the two prevArc chains into one arc-code walk s -> ... -> t.
-  std::vector<std::int64_t> codes;
-  for (std::size_t v = meet; v != s;) {
-    const std::int32_t code = nodes_[v].prevArc;
-    codes.push_back(code);
-    v = static_cast<std::size_t>(tailOfCode(code));
-  }
-  std::reverse(codes.begin(), codes.end());
-  for (std::size_t v = meet; v != t;) {
-    const std::int32_t code = bnodes_[v].prevArc;
-    codes.push_back(code);
-    v = static_cast<std::size_t>(headOfCode(code));
-  }
-
-  // The halves may overlap (a node settled by both sides); excise any
-  // cycle so each arc appears at most once — cycles on a shortest walk
-  // have zero reduced cost, so the remaining simple path is still minimal.
-  std::vector<std::int64_t> path;
-  std::vector<std::size_t> nodeSeq{s};
-  std::unordered_map<std::size_t, std::size_t> at{{s, 0}};
-  for (const std::int64_t code : codes) {
-    const auto v = static_cast<std::size_t>(headOfCode(code));
-    if (const auto it = at.find(v); it != at.end()) {
-      while (nodeSeq.size() > it->second + 1) {
-        at.erase(nodeSeq.back());
-        nodeSeq.pop_back();
-        path.pop_back();
-      }
-      continue;
-    }
-    path.push_back(code);
-    nodeSeq.push_back(v);
-    at.emplace(v, nodeSeq.size() - 1);
-  }
-
-  for (const std::int64_t code : path) {
-    assert(residualOfCode(code) > 0);
-    pushOnCode(code, 1);
-    cost += costOfCode(code);
-  }
-  ++counters_.augmentations;
-  potentialsDirty_ = true;
-  return true;
 }
 
 MinCostFlow::Result MinCostFlow::run(std::size_t s, std::size_t t,
@@ -924,8 +608,8 @@ MinCostFlow::Result MinCostFlow::run(std::size_t s, std::size_t t,
   // Remaining residual capacity into the sink bounds every future
   // augmentation one-for-one, so hitting zero proves the next Dijkstra
   // pass would fail -- skip it. The skipped pass has no observable
-  // effect (a failing pass never updates potentials), so default-mode
-  // output is unchanged.
+  // effect (a failing pass never updates potentials), so the output is
+  // unchanged.
   std::int64_t sinkCap = s != t ? remainingSinkCapacity(t)
                                 : std::numeric_limits<std::int64_t>::max();
 
@@ -933,16 +617,6 @@ MinCostFlow::Result MinCostFlow::run(std::size_t s, std::size_t t,
     if (sinkCap <= 0) {
       ++counters_.earlyExits;
       break;
-    }
-    // Opt-in fast path for the last unit of demand: meet-in-the-middle
-    // Dijkstra instead of a full forward pass. Runs at most once per
-    // run() call (the unit either routes, finishing the loop, or fails).
-    if (fastSsp_ && maxFlow - result.flow == 1 && s != t) {
-      if (!augmentBidir(s, t, result.cost)) break;
-      result.flow += 1;
-      flowUnits_ += 1;
-      sinkCap -= 1;
-      continue;
     }
     // Dijkstra on reduced costs. "Clearing" dist/done is an epoch bump;
     // unlabeled == stamp mismatch.
@@ -1078,20 +752,6 @@ MinCostFlow::Result MinCostFlow::run(std::size_t s, std::size_t t,
       }
     }
     settled_.clear();
-
-    // Opt-in multi-augmentation: saturate every admissible shortest path
-    // in the zero-reduced-cost subgraph left by the potential update,
-    // instead of one path per pass. The sink's predecessor path is tight
-    // under the new potentials, so at least one unit always routes.
-    if (fastSsp_) {
-      const std::int64_t pushed =
-          augmentTightPaths(s, t, maxFlow - result.flow, result.cost);
-      if (pushed <= 0) break;  // unreachable; guards against a stall
-      result.flow += pushed;
-      flowUnits_ += pushed;
-      sinkCap -= pushed;
-      continue;
-    }
 
     // Bottleneck along the path. prevArc holds CSR positions (>= 0, tail
     // reachable via the reverse arc) or overlay arc ids encoded as

@@ -68,29 +68,9 @@ namespace pacor::graph {
 /// the packed 4-ary heap and drain strictly after every bucket (all
 /// bucket distances are smaller), so the settle sequence is *exactly* the
 /// lexicographic (distance, node) order of the pure-heap implementation,
-/// stale entries included: default-mode results stay bit-identical, and
+/// stale entries included: results stay bit-identical, and
 /// setBucketQueue(false) selects the pure heap for A/B tests and
 /// benchmarks.
-///
-/// ## Fast mode (multi-augmentation + bidirectional refinement)
-///
-/// setFastSsp(true) enables two refinements that keep the (flow, cost)
-/// optimum but reorder augmentations, so equal-cost ties may resolve to
-/// different (equally optimal) paths:
-///
-///  * after each Dijkstra pass + potential update, a blocking-flow DFS
-///    saturates *every* admissible path of the zero-reduced-cost subgraph
-///    (all such paths cost exactly the sink distance, and augmenting
-///    tight arcs keeps the potentials valid), instead of one path per
-///    pass;
-///  * when exactly one unit of demand remains — the warm-rerun / ECO
-///    shape — the final path comes from a bidirectional Dijkstra over
-///    reduced costs (forward from the source, backward over reverse
-///    residual arcs from the sink) that stops as soon as the frontiers
-///    prove a meeting path minimal.
-///
-/// Both preserve the min-cost max-flow optimum: callers that need
-/// bit-identical output to the classic solver simply leave fast mode off.
 class MinCostFlow {
  public:
   explicit MinCostFlow(std::size_t nodeCount);
@@ -115,9 +95,7 @@ class MinCostFlow {
   /// escape metrics (`escape.flow.*`) and bench_min_cost_flow read these.
   struct Counters {
     std::uint64_t dijkstraPasses = 0;  ///< label passes started
-    std::uint64_t augmentations = 0;   ///< augmenting paths applied (all kinds)
-    std::uint64_t multiAugPaths = 0;   ///< paths found by the fast-mode DFS
-    std::uint64_t bidirPasses = 0;     ///< bidirectional last-unit searches
+    std::uint64_t augmentations = 0;   ///< augmenting paths applied
     std::uint64_t bucketPushes = 0;    ///< open-list inserts into Dial buckets
     std::uint64_t heapPushes = 0;      ///< open-list inserts into the 4-ary heap
     std::uint64_t queuePops = 0;       ///< open-list pops, stale entries included
@@ -161,13 +139,6 @@ class MinCostFlow {
     while (span <= maxExpectedDistance && span < kMaxBucketSpan) span <<= 1;
     return span;
   }
-
-  /// Enables multi-augmentation + the bidirectional last-unit refinement.
-  /// The (flow, cost) optimum is unchanged; individual equal-cost paths
-  /// may differ from the classic solver, so callers relying on golden
-  /// hashes must leave this off.
-  void setFastSsp(bool on) noexcept { fastSsp_ = on; }
-  bool fastSsp() const noexcept { return fastSsp_; }
 
   /// Builds the CSR over the edges added so far (normally deferred to the
   /// first run or mutation). Every edge added afterwards goes to the
@@ -275,20 +246,6 @@ class MinCostFlow {
   void cancelUnitForwardFrom(std::size_t node);
   void repairPotentials();
   std::int64_t remainingSinkCapacity(std::size_t t) const;
-  std::int64_t augmentTightPaths(std::size_t s, std::size_t t, std::int64_t budget,
-                                 std::int64_t& cost);
-  bool augmentBidir(std::size_t s, std::size_t t, std::int64_t& cost);
-
-  // Arc-code helpers shared by the fast-mode refinements. A code is the
-  // prevArc encoding: a CSR position (>= 0) or an overlay arc id a as
-  // -(a + 2); -1 is the end-of-scan sentinel.
-  std::int64_t firstArcCode(std::size_t u) const;
-  std::int64_t nextArcCode(std::size_t u, std::int64_t code) const;
-  std::int64_t residualOfCode(std::int64_t code) const;
-  std::int32_t headOfCode(std::int64_t code) const;
-  std::int32_t tailOfCode(std::int64_t code) const;
-  std::int64_t costOfCode(std::int64_t code) const;
-  void pushOnCode(std::int64_t code, std::int64_t units);
 
   // Edge ingest order; arc a = 2 * edge + (backward ? 1 : 0). arcCap_ is
   // authoritative for overlay arcs (and for all arcs until the CSR is
@@ -388,28 +345,6 @@ class MinCostFlow {
   void bmInsert(std::size_t v);
   std::size_t bmPopMin();
   void bmClearAll();
-
-  // Fast-mode scratch: blocking-flow DFS state (current-arc cursors,
-  // blocked/on-path stamps) and the backward labels + heap of the
-  // bidirectional refinement. All lazily sized; idle unless fastSsp_.
-  bool fastSsp_ = false;
-  std::vector<std::int64_t> dfsCur_;
-  std::vector<std::uint32_t> dfsCurStamp_;
-  std::vector<std::uint32_t> dfsBlockedStamp_;
-  std::vector<std::uint32_t> dfsOnPathStamp_;
-  std::vector<std::int32_t> dfsStackNode_;
-  std::vector<std::int64_t> dfsStackArc_;
-  std::uint32_t dfsPhase_ = 0;
-  std::uint32_t dfsPathId_ = 0;
-  struct BNode {
-    std::int64_t dist;
-    std::int32_t prevArc;
-    std::uint32_t distStamp;
-    std::uint32_t doneStamp;
-  };
-  std::vector<BNode> bnodes_;
-  std::vector<std::uint64_t> heapB_;
-  std::uint32_t bepoch_ = 0;
 
   Counters counters_;
 };

@@ -71,8 +71,7 @@ class ObstacleMap {
 /// This is what makes negotiation rip-up cheap (route/negotiation.cpp):
 /// each iteration routes all edges through a transaction and, when some
 /// edge failed, rolls the occupancy back in time proportional to the
-/// routed path lengths. The log also doubles as the exact changed-cell
-/// set the parallel routing layer needs for its speculative commits.
+/// routed path lengths.
 class ObstacleMapTransaction {
  public:
   explicit ObstacleMapTransaction(ObstacleMap& map) : map_(map) {}

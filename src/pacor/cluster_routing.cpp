@@ -164,8 +164,7 @@ void commitStructure(const chip::Chip& chip, WorkCluster& wc, const CandidatePla
 LmRoutingStats routeLengthMatchingClusters(const chip::Chip& chip,
                                            const PacorConfig& config,
                                            grid::ObstacleMap& obstacles,
-                                           std::span<WorkCluster*> clusters,
-                                           util::ThreadPool* pool) {
+                                           std::span<WorkCluster*> clusters) {
   LmRoutingStats stats;
   if (clusters.empty()) return stats;
 
@@ -257,7 +256,7 @@ LmRoutingStats routeLengthMatchingClusters(const chip::Chip& chip,
   }
 
   const auto negotiated =
-      route::negotiatedRoute(obstacles, allEdges, config.negotiation, pool);
+      route::negotiatedRoute(obstacles, allEdges, config.negotiation);
   stats.negotiationIterations = negotiated.iterations;
   spanNegotiation.arg("edges", static_cast<std::int64_t>(allEdges.size()));
   spanNegotiation.arg("iterations", negotiated.iterations);

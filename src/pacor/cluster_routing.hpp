@@ -7,10 +7,6 @@
 #include "pacor/config.hpp"
 #include "pacor/work.hpp"
 
-namespace pacor::util {
-class ThreadPool;
-}
-
 namespace pacor::core {
 
 /// Outcome counters of the length-matching cluster routing stage.
@@ -31,13 +27,10 @@ struct LmRoutingStats {
 /// negotiation-based routing (Alg. 1). Successful clusters are committed
 /// into `obstacles` (net = cluster net) with their detour structure
 /// (sink sequences, tap) filled in; clusters whose edges could not be
-/// routed are demoted (wasDemoted = true) for MST-based routing. A
-/// multi-thread `pool` parallelizes the negotiation iterations (see
-/// route::negotiatedRoute); the result is identical to pool == nullptr.
+/// routed are demoted (wasDemoted = true) for MST-based routing.
 LmRoutingStats routeLengthMatchingClusters(const chip::Chip& chip,
                                            const PacorConfig& config,
                                            grid::ObstacleMap& obstacles,
-                                           std::span<WorkCluster*> clusters,
-                                           util::ThreadPool* pool = nullptr);
+                                           std::span<WorkCluster*> clusters);
 
 }  // namespace pacor::core

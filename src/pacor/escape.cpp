@@ -33,7 +33,7 @@ double secondsSince(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 EscapeOutcome escapeRoute(const chip::Chip& chip, grid::ObstacleMap& obstacles,
-                          std::span<WorkCluster*> clusters, bool fastEscape) {
+                          std::span<WorkCluster*> clusters) {
   EscapeOutcome outcome;
   const grid::Grid& g = obstacles.grid();
 
@@ -56,7 +56,6 @@ EscapeOutcome escapeRoute(const chip::Chip& chip, grid::ObstacleMap& obstacles,
               static_cast<std::size_t>(2 * g.cellCount()) + pendingIdx.size(),
               static_cast<std::size_t>(2 * g.cellCount()) + pendingIdx.size() + 1};
   graph::MinCostFlow flow(ids.sink + 1);
-  flow.setFastSsp(fastEscape);
   // Size the Dial bucket span from the grid diameter: step costs are unit
   // and tap biases at most two Manhattan diameters, so a few diameters
   // cover every label this network produces. Small dies get a small
@@ -199,14 +198,12 @@ EscapeOutcome escapeRoute(const chip::Chip& chip, grid::ObstacleMap& obstacles,
 }
 
 EscapeFlowSession::EscapeFlowSession(const chip::Chip& chip,
-                                     grid::ObstacleMap& obstacles,
-                                     bool fastEscape)
+                                     grid::ObstacleMap& obstacles)
     : chip_(&chip),
       obstacles_(&obstacles),
       flow_(static_cast<std::size_t>(2 * obstacles.grid().cellCount()) +
             chip.valves.size() + 2),
       valveCapacity_(chip.valves.size()) {
-  flow_.setFastSsp(fastEscape);
   trace::Span spanBuild("escape.flow_build", "escape", trace::Level::kCluster);
   const auto buildT0 = std::chrono::steady_clock::now();
   const grid::Grid& g = obstacles_->grid();
@@ -277,11 +274,9 @@ bool EscapeFlowSession::compatibleWith(const chip::Chip& chip) const noexcept {
   return true;
 }
 
-void EscapeFlowSession::rebind(const chip::Chip& chip, grid::ObstacleMap& obstacles,
-                               bool fastEscape) {
+void EscapeFlowSession::rebind(const chip::Chip& chip, grid::ObstacleMap& obstacles) {
   chip_ = &chip;
   obstacles_ = &obstacles;
-  flow_.setFastSsp(fastEscape);
   // Nothing else: the next route() already resets the flow, truncates the
   // overlay, and diffs freeMirror_ against the new map's occupancy -- the
   // same path every warm round takes within one request.

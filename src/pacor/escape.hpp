@@ -42,13 +42,12 @@ struct EscapeOutcome {
 /// Successful clusters get escapePath (tap ... pin) committed into
 /// `obstacles` and their pin assigned. Already-escaped clusters (pin >= 0)
 /// are left untouched and their pins stay reserved.
-/// `fastEscape` enables the solver's multi-augmentation/bidirectional fast
-/// mode (MinCostFlow::setFastSsp): same (flow, cost) optimum, but
-/// equal-cost ties may route along different paths, so it is opt-in and
-/// validated by the oracle rather than golden hashes.
+///
+/// This builds the network from scratch on every call. The pipeline
+/// routes through EscapeFlowSession instead; this function is the
+/// reference the session is tested against.
 EscapeOutcome escapeRoute(const chip::Chip& chip, grid::ObstacleMap& obstacles,
-                          std::span<WorkCluster*> clusters,
-                          bool fastEscape = false);
+                          std::span<WorkCluster*> clusters);
 
 /// Persistent escape-flow solver that survives across pipeline rip-up
 /// rounds. Constructed once per design, it lays down the full node-split
@@ -75,9 +74,7 @@ EscapeOutcome escapeRoute(const chip::Chip& chip, grid::ObstacleMap& obstacles,
 class EscapeFlowSession {
  public:
   /// Snapshots the current obstacle state; later rounds diff against it.
-  /// `fastEscape` selects the solver's opt-in fast mode for every round.
-  EscapeFlowSession(const chip::Chip& chip, grid::ObstacleMap& obstacles,
-                    bool fastEscape = false);
+  EscapeFlowSession(const chip::Chip& chip, grid::ObstacleMap& obstacles);
 
   /// True when this session's frozen network can serve `chip`: same grid
   /// cell count, identical control pins, and no more valves than the
@@ -91,8 +88,8 @@ class EscapeFlowSession {
   /// (compatibleWith must hold). The next route() call diffs the free
   /// mirror against the new map -- exactly the per-round occupancy-diff
   /// path -- so a rebound session stays bit-identical to a session built
-  /// fresh on the new map. `fastEscape` may change per request.
-  void rebind(const chip::Chip& chip, grid::ObstacleMap& obstacles, bool fastEscape);
+  /// fresh on the new map.
+  void rebind(const chip::Chip& chip, grid::ObstacleMap& obstacles);
 
   /// Drop-in replacement for escapeRoute(): one escape pass over the
   /// given clusters against the session's obstacle map.

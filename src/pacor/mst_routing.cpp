@@ -5,9 +5,7 @@
 #include <unordered_set>
 
 #include "route/astar.hpp"
-#include "route/workspace.hpp"
 #include "trace/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pacor::core {
 namespace {
@@ -22,57 +20,29 @@ struct TreeGrowth {
 /// Grows the routed component valve by valve: repeatedly connects the
 /// nearest unconnected valve to the current tree (point-to-path A*; the
 /// multi-target search picks the cheapest valve, which is exactly Prim's
-/// selection rule on routed distances).
-///
-/// With a non-null `commit` every successful path is occupied as it is
-/// found (the serial mode). A null `commit` runs the *identical* search
-/// sequence without touching the map: A* treats a free cell and a cell
-/// owned by the searching net the same way, and the only cells whose
-/// ownership the commits would change are the tree's own cells — which
-/// every later search seeds as sources anyway — so the uncommitted
-/// searches cannot diverge. `touched`, when given, accumulates every cell
-/// any of the searches labeled (for the speculative accept check).
-TreeGrowth growSpanningTree(const grid::ObstacleMap& obstacles,
-                            grid::ObstacleMap* commit,
-                            const std::vector<Point>& valveCells, grid::NetId net,
-                            std::vector<std::int32_t>* touched) {
+/// selection rule on routed distances). Every path is occupied as it is
+/// found.
+TreeGrowth growSpanningTree(grid::ObstacleMap& obstacles,
+                            const std::vector<Point>& valveCells, grid::NetId net) {
   TreeGrowth out;
   out.treeCells.insert(valveCells[0]);
   std::vector<Point> pending(valveCells.begin() + 1, valveCells.end());
-  route::RouterWorkspace& ws = route::localWorkspace();
 
   while (!pending.empty()) {
     route::AStarRequest req;
     req.sources.assign(out.treeCells.begin(), out.treeCells.end());
     req.targets = pending;
     req.net = net;
-    const auto found = route::aStarRoute(obstacles, req, &ws);
-    if (touched != nullptr)
-      touched->insert(touched->end(), ws.touched.begin(), ws.touched.end());
+    const auto found = route::aStarRoute(obstacles, req);
     if (!found.success) return out;
     const Point reached = found.path.back();
     pending.erase(std::find(pending.begin(), pending.end(), reached));
-    if (commit != nullptr) commit->occupy(found.path, net);
+    obstacles.occupy(found.path, net);
     out.treeCells.insert(found.path.begin(), found.path.end());
     out.paths.push_back(found.path);
   }
   out.success = true;
   return out;
-}
-
-/// Installs a completed growth into the cluster's routed-tree fields.
-void applyGrowth(WorkCluster& wc, TreeGrowth grown, Point root) {
-  wc.treePaths = std::move(grown.paths);
-  wc.tapCells.assign(grown.treeCells.begin(), grown.treeCells.end());
-  std::sort(wc.tapCells.begin(), wc.tapCells.end());
-  wc.tap = root;
-  wc.internallyRouted = true;
-}
-
-void markPaths(std::vector<char>& changed, const grid::Grid& g,
-               const std::vector<route::Path>& paths) {
-  for (const route::Path& p : paths)
-    for (const Point c : p) changed[static_cast<std::size_t>(g.index(c))] = 1;
 }
 
 }  // namespace
@@ -95,8 +65,7 @@ bool routePlainCluster(const chip::Chip& chip, grid::ObstacleMap& obstacles,
     return true;
   }
 
-  TreeGrowth grown = growSpanningTree(obstacles, &obstacles, valveCells, wc.net,
-                                      nullptr);
+  TreeGrowth grown = growSpanningTree(obstacles, valveCells, wc.net);
   if (!grown.success) {
     // Roll back: release everything this cluster routed so far (valve
     // cells stay owned -- they were occupied before routing began).
@@ -105,7 +74,11 @@ bool routePlainCluster(const chip::Chip& chip, grid::ObstacleMap& obstacles,
       obstacles.occupy(std::span<const Point>(&v, 1), wc.net);
     return false;
   }
-  applyGrowth(wc, std::move(grown), valveCells[0]);
+  wc.treePaths = std::move(grown.paths);
+  wc.tapCells.assign(grown.treeCells.begin(), grown.treeCells.end());
+  std::sort(wc.tapCells.begin(), wc.tapCells.end());
+  wc.tap = valveCells[0];
+  wc.internallyRouted = true;
   return true;
 }
 
@@ -163,86 +136,16 @@ std::vector<WorkCluster> routeClustersStage(const chip::Chip& chip,
                                             grid::ObstacleMap& obstacles,
                                             std::vector<WorkCluster> clusters,
                                             const std::function<grid::NetId()>& allocateNet,
-                                            int* declusterCount,
-                                            util::ThreadPool* pool) {
-  // Clusters whose tree growth is worth speculating on (singletons route
-  // trivially and never touch the map).
-  std::vector<std::size_t> pendingIdx;
-  for (std::size_t i = 0; i < clusters.size(); ++i)
-    if (!clusters[i].internallyRouted && clusters[i].spec.valves.size() >= 2)
-      pendingIdx.push_back(i);
-
-  struct Speculative {
-    TreeGrowth grown;
-    std::vector<std::int32_t> touched;
-  };
-  std::vector<Speculative> spec;
-  const bool speculate =
-      pool != nullptr && pool->threadCount() > 1 && pendingIdx.size() > 1;
-  if (speculate) {
-    // Phase 1: grow every pending tree against the stage-start occupancy.
-    // The map is read-only here, so all workers share it without copies;
-    // each worker's searches run in its own thread-local workspace.
-    trace::Span span("mst.speculate", "mst_routing", trace::Level::kCluster);
-    span.arg("clusters", static_cast<std::int64_t>(pendingIdx.size()));
-    spec.resize(pendingIdx.size());
-    route::SharedTally* const tally = route::activeTally();
-    pool->parallelFor(pendingIdx.size(), [&, tally](std::size_t k, unsigned) {
-      // Credit worker-thread searches to the requesting thread's sink.
-      route::TallyScope tallyScope(tally);
-      const WorkCluster& wc = clusters[pendingIdx[k]];
-      std::vector<Point> valveCells;
-      valveCells.reserve(wc.spec.valves.size());
-      for (const chip::ValveId v : wc.spec.valves)
-        valveCells.push_back(chip.valve(v).pos);
-      spec[k].grown = growSpanningTree(obstacles, nullptr, valveCells, wc.net,
-                                       &spec[k].touched);
-    });
-  }
-
-  const grid::Grid& g = obstacles.grid();
-  std::vector<char> changed(
-      speculate ? static_cast<std::size_t>(g.cellCount()) : 0, 0);
-
-  // Phase 2: serial commit in cluster order. A speculative tree is the
-  // serial result iff no cell its searches examined was changed by an
-  // earlier commit: commits only turn free cells into occupied ones (net
-  // ownership may move during declustering, but an occupied cell stays
-  // blocked for every other cluster), so an unexamined cell cannot have
-  // influenced the search either way.
+                                            int* declusterCount) {
   std::vector<WorkCluster> next;
   next.reserve(clusters.size());
-  std::size_t specIdx = 0;
-  for (std::size_t i = 0; i < clusters.size(); ++i) {
-    WorkCluster& wc = clusters[i];
+  for (WorkCluster& wc : clusters) {
     if (wc.internallyRouted) {
       next.push_back(std::move(wc));
       continue;
     }
-    Speculative* sp = nullptr;
-    if (speculate && specIdx < pendingIdx.size() && pendingIdx[specIdx] == i)
-      sp = &spec[specIdx++];
-
-    bool accepted = sp != nullptr && sp->grown.success;
-    if (accepted)
-      for (const std::int32_t c : sp->touched)
-        if (changed[static_cast<std::size_t>(c)] != 0) {
-          accepted = false;
-          break;
-        }
-
-    if (accepted) {
-      for (const route::Path& p : sp->grown.paths) obstacles.occupy(p, wc.net);
-      markPaths(changed, g, sp->grown.paths);
-      applyGrowth(wc, std::move(sp->grown), chip.valve(wc.spec.valves.front()).pos);
-      next.push_back(std::move(wc));
-      continue;
-    }
-
     auto parts = routeWithDeclustering(chip, obstacles, std::move(wc), allocateNet,
                                        declusterCount);
-    if (speculate)
-      for (const WorkCluster& part : parts) markPaths(changed, g, part.treePaths);
     for (auto& p : parts) next.push_back(std::move(p));
   }
   return next;

@@ -6,10 +6,6 @@
 #include "grid/obstacle_map.hpp"
 #include "pacor/work.hpp"
 
-namespace pacor::util {
-class ThreadPool;
-}
-
 namespace pacor::core {
 
 /// Routes one plain (no length-matching) cluster as a routed spanning
@@ -37,21 +33,12 @@ std::vector<WorkCluster> routeWithDeclustering(const chip::Chip& chip,
 
 /// Stage-3 driver: routes every not-yet-routed cluster of `clusters`
 /// (internally routed ones pass through untouched) and returns the final
-/// cluster list, with declustered parts expanded in place.
-///
-/// With a multi-thread `pool`, the tree growth of all pending clusters
-/// first runs speculatively in parallel against the stage-start occupancy
-/// (a pure search -- no map mutation), then commits serially in cluster
-/// order. A speculative tree is accepted only when no cell any of its
-/// searches labeled was occupied by an earlier commit; otherwise the
-/// cluster is re-routed on the live map exactly as the serial code would.
-/// Commits never free a stage-start-occupied cell, so an accepted tree is
-/// bit-identical to what the serial pass produces, cluster for cluster.
+/// cluster list, with declustered parts expanded in place. Clusters are
+/// routed in order, each against the occupancy its predecessors left.
 std::vector<WorkCluster> routeClustersStage(const chip::Chip& chip,
                                             grid::ObstacleMap& obstacles,
                                             std::vector<WorkCluster> clusters,
                                             const std::function<grid::NetId()>& allocateNet,
-                                            int* declusterCount = nullptr,
-                                            util::ThreadPool* pool = nullptr);
+                                            int* declusterCount = nullptr);
 
 }  // namespace pacor::core

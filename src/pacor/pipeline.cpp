@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
@@ -18,7 +17,6 @@
 #include "pacor/mst_routing.hpp"
 #include "route/workspace.hpp"
 #include "trace/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pacor::core {
 namespace {
@@ -159,29 +157,10 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   result.design = chip.name;
   trace::Span rootSpan("pacor.route", "pipeline");
 
-  // Worker pool for the speculative-parallel routing stages. A shared
-  // pool (serve mode) is reused as-is; otherwise one is built for this
-  // call. jobs <= 1 spawns no threads and every stage takes the exact
-  // serial path.
-  std::optional<util::ThreadPool> ownedPool;
-  if (resources.pool == nullptr) {
-    const int jobs = config.jobs == 0 ? static_cast<int>(util::hardwareJobs())
-                                      : config.jobs;
-    ownedPool.emplace(static_cast<unsigned>(std::max(1, jobs)));
-  }
-  util::ThreadPool& pool = resources.pool != nullptr ? *resources.pool : *ownedPool;
-  util::ThreadPool* poolPtr = pool.threadCount() > 1 ? &pool : nullptr;
-  result.parallelJobs = static_cast<int>(pool.threadCount());
-  // Dispatch-decision accounting (inline vs. worker handoff), diffed over
-  // the request so a shared serve-mode pool reports per-request numbers
-  // (approximate when requests overlap on one pool).
-  const std::uint64_t poolInline0 = pool.inlineBatches();
-  const std::uint64_t poolDispatched0 = pool.dispatchedBatches();
-
   // Request-scoped search-effort accounting. Per-stage counters are
   // snapshots of this sink, never differences of the process-wide
   // searchTally(): concurrent in-process requests each see only their own
-  // searches (pool workers re-install the sink inside every task).
+  // searches, because every search of this request runs on this thread.
   route::SharedTally requestTally;
   route::TallyScope tallyScope(&requestTally);
   const route::SearchCounters tally0 = requestTally.snapshot();
@@ -235,7 +214,7 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
     if (wc.wantsMatching() && wc.spec.valves.size() >= 2 && !wc.internallyRouted)
       lmClusters.push_back(&wc);
   const LmRoutingStats lmStats =
-      routeLengthMatchingClusters(chip, config, obstacles, lmClusters, poolPtr);
+      routeLengthMatchingClusters(chip, config, obstacles, lmClusters);
   result.lmCandidatesBuilt = lmStats.candidatesBuilt;
   result.selectionExact = lmStats.selectionExact;
   result.negotiationIterations = lmStats.negotiationIterations;
@@ -246,7 +225,7 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   // --- Stage 3: MST-based routing of everything else ---------------------
   trace::Span spanMst("stage.mst_routing", "pipeline");
   clusters = routeClustersStage(chip, obstacles, std::move(clusters), allocateNet,
-                                &result.declusteredCount, poolPtr);
+                                &result.declusteredCount);
   spanMst.close();
   const auto tRouteEnd = Clock::now();
   result.times.clusterRouting = seconds(tClusterEnd, tRouteEnd);
@@ -293,8 +272,6 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
     EscapeOutcome outcome;
     if (config.escapeMode != EscapeMode::kMinCostFlow) {
       outcome = escapeRouteSequential(chip, obstacles, ptrs);
-    } else if (!config.incrementalEscape) {
-      outcome = escapeRoute(chip, obstacles, ptrs, config.fastEscape);
     } else {
       if (escapeSession == nullptr) {
         if (escapeSessionSlot && !escapeSessionSlot->compatibleWith(chip))
@@ -302,10 +279,9 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
         if (escapeSessionSlot) {
           // Warm reuse: baseline the counters before this request's work.
           escapeStats0 = escapeSessionSlot->stats();
-          escapeSessionSlot->rebind(chip, obstacles, config.fastEscape);
+          escapeSessionSlot->rebind(chip, obstacles);
         } else {
-          escapeSessionSlot = std::make_unique<EscapeFlowSession>(
-              chip, obstacles, config.fastEscape);
+          escapeSessionSlot = std::make_unique<EscapeFlowSession>(chip, obstacles);
           // Fresh construction belongs to this request: baseline zero so
           // the cold build shows up in the request's metrics.
           escapeStats0 = EscapeFlowSession::Stats{};
@@ -319,8 +295,6 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
     const auto& fc = outcome.flowCounters;
     escapeCounters.dijkstraPasses += fc.dijkstraPasses;
     escapeCounters.augmentations += fc.augmentations;
-    escapeCounters.multiAugPaths += fc.multiAugPaths;
-    escapeCounters.bidirPasses += fc.bidirPasses;
     escapeCounters.bucketPushes += fc.bucketPushes;
     escapeCounters.heapPushes += fc.heapPushes;
     escapeCounters.queuePops += fc.queuePops;
@@ -328,9 +302,9 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
     escapeCounters.earlyExits += fc.earlyExits;
     escapeCounters.warmArcTouches += fc.warmArcTouches;
     escapeFlowCost += outcome.flowCost;
-    // First pass with actual demand: the fuzz harness compares this
-    // (routed count, cost) pair across solver variants -- later rounds may
-    // legitimately diverge through different equal-cost tie resolutions.
+    // First pass with actual demand: a caller that replays the stages by
+    // hand checks its own first flow pass against this (routed count,
+    // cost) pair.
     if (escapeFirstRouted < 0 && outcome.requested > 0) {
       escapeFirstCost = outcome.flowCost;
       escapeFirstRouted = outcome.routedCount;
@@ -485,8 +459,7 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   // The flow solver has no A* tally of its own; graft its effort counters
   // into the escape search block (searches = label passes, expansions =
   // settled nodes, bounded visits = augmentations applied).
-  result.searchEscape.searches +=
-      escapeCounters.dijkstraPasses + escapeCounters.bidirPasses;
+  result.searchEscape.searches += escapeCounters.dijkstraPasses;
   result.searchEscape.expansions += escapeCounters.settles;
   result.searchEscape.boundedVisits += escapeCounters.augmentations;
 
@@ -584,11 +557,6 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
 
   // --- Metrics registry: every counter of the run in one structure -------
   trace::MetricsRegistry& m = result.metrics;
-  m.setInt("config.jobs", result.parallelJobs);
-  m.setInt("pool.batches_inline",
-           static_cast<std::int64_t>(pool.inlineBatches() - poolInline0));
-  m.setInt("pool.batches_dispatched",
-           static_cast<std::int64_t>(pool.dispatchedBatches() - poolDispatched0));
   m.setInt("pipeline.complete", result.complete ? 1 : 0);
   m.setInt("clusters.total", static_cast<std::int64_t>(result.clusters.size()));
   m.setInt("clusters.multi_valve", result.multiValveClusterCount);
@@ -607,15 +575,14 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   m.setInt("escape.wide_tap_remedies", result.escapeWideTapRemedies);
   m.setInt("escape.demotions", result.escapeDemotions);
   m.setInt("escape.splits", result.escapeSplits);
-  // Warm-restart effort of the incremental escape session; zeros when the
-  // session was disabled or never constructed (keeps the schema stable).
+  // Warm-restart effort of the escape session; zeros when no min-cost-flow
+  // pass ran (the sequential ablation) so the schema stays stable.
   // Counters are diffed against the pre-request snapshot so a session
   // shared across serve requests still reports per-request numbers
   // (cold_builds = 0 is the signature of a warm cross-request reuse).
   {
     const EscapeFlowSession::Stats es =
         escapeSession != nullptr ? escapeSession->stats() : EscapeFlowSession::Stats{};
-    m.setInt("escape.flow.incremental", escapeSession != nullptr ? 1 : 0);
     m.setInt("escape.flow.cold_builds", es.coldBuilds - escapeStats0.coldBuilds);
     m.setInt("escape.flow.warm_rounds", es.warmRounds - escapeStats0.warmRounds);
     m.setInt("escape.flow.warm_delta_cells",
@@ -625,15 +592,10 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
     m.setInt("escape.flow.persistent_arcs", es.persistentArcs);
   }
   // Solver-effort counters summed over every escape pass.
-  m.setInt("escape.flow.fast", config.fastEscape ? 1 : 0);
   m.setInt("escape.flow.dijkstra_passes",
            static_cast<std::int64_t>(escapeCounters.dijkstraPasses));
   m.setInt("escape.flow.augmentations",
            static_cast<std::int64_t>(escapeCounters.augmentations));
-  m.setInt("escape.flow.multi_aug_paths",
-           static_cast<std::int64_t>(escapeCounters.multiAugPaths));
-  m.setInt("escape.flow.bidir_passes",
-           static_cast<std::int64_t>(escapeCounters.bidirPasses));
   m.setInt("escape.flow.bucket_pushes",
            static_cast<std::int64_t>(escapeCounters.bucketPushes));
   m.setInt("escape.flow.heap_pushes",
@@ -650,7 +612,7 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   m.setInt("escape.flow.first_cost", escapeFirstCost);
   m.setInt("escape.flow.first_routed", escapeFirstRouted);
   // Cumulative flow network build (or warm-delta) and solve time across
-  // every escape pass; the incremental session's win shows up here.
+  // every escape pass.
   m.setReal("time.escape_flow_build_s", escapeFlowBuildS);
   m.setReal("time.escape_flow_run_s", escapeFlowRunS);
   m.setInt("detour.reroutes", result.detourReroutes);

@@ -9,10 +9,6 @@
 #include "pacor/result.hpp"
 #include "pacor/work.hpp"
 
-namespace pacor::util {
-class ThreadPool;
-}
-
 namespace pacor::core {
 
 class EscapeFlowSession;
@@ -23,16 +19,9 @@ class EscapeFlowSession;
 /// reproduces the self-contained one-shot behavior.
 ///
 /// The routed output is byte-identical (canonical solutionToString text)
-/// with or without shared resources, for any pool size -- reusing them
-/// only removes setup work, never changes results.
+/// with or without shared resources -- reusing them only removes setup
+/// work, never changes results.
 struct RouteResources {
-  /// Worker pool shared across requests instead of constructing (and
-  /// joining) one per routeChip call. When set, config.jobs is ignored:
-  /// the pool's size decides the parallelism. The pool may be used by
-  /// several concurrent routeChip calls; batches are serialized inside
-  /// ThreadPool::parallelFor.
-  util::ThreadPool* pool = nullptr;
-
   /// Prebuilt routing obstacle template for this chip, exactly as
   /// makeRoutingObstacleTemplate() returns it. routeChip copies it
   /// instead of re-deriving static obstacles + blocked boundary cells on
@@ -64,10 +53,11 @@ grid::ObstacleMap makeRoutingObstacleTemplate(const chip::Chip& chip);
 /// rounds, and path detouring for length matching. Throws
 /// std::invalid_argument when the chip fails validation.
 ///
-/// Safe to call from several threads at once: each call owns its routing
-/// state, search-effort counters are scoped to the request (not diffed
-/// from the process-wide tally), and shared RouteResources are designed
-/// for concurrent use.
+/// Runs entirely on the calling thread. Safe to call from several threads
+/// at once: each call owns its routing state, search-effort counters are
+/// scoped to the request (not diffed from the process-wide tally), and
+/// a shared obstacle template is only read (an escape-session slot is not
+/// shareable; see RouteResources::escapeSession).
 ///
 /// `resources` supplies optional long-lived state (see RouteResources for
 /// the ownership contract); the default-constructed value reproduces the

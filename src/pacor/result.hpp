@@ -86,10 +86,6 @@ struct PacorResult {
   route::SearchCounters searchEscape;
   route::SearchCounters searchDetour;
 
-  /// Worker threads the routing stages actually used (config.jobs with
-  /// 0 resolved to the hardware concurrency).
-  int parallelJobs = 1;
-
   /// Every counter above (plus the LM-routing and remedy breakdowns) in
   /// one queryable, deterministically-dumpable registry. Filled by the
   /// pipeline at harvest time; `pacor route --metrics=out.json` and

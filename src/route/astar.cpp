@@ -35,13 +35,9 @@ void stampTargets(RouterWorkspace& ws, const grid::Grid& g,
     if (g.inBounds(t)) ws.targetStamp[static_cast<std::size_t>(g.index(t))] = ws.epoch;
 }
 
-/// Labels a cell: marks its dist/parent slots valid and records it in the
-/// touched list (consumed by the speculative parallel commit).
+/// Labels a cell: marks its dist/parent slots valid for this search.
 inline void label(RouterWorkspace& ws, std::size_t idx, double g, std::int32_t par) {
-  if (ws.stamp[idx] != ws.epoch) {
-    ws.stamp[idx] = ws.epoch;
-    ws.touched.push_back(static_cast<std::int32_t>(idx));
-  }
+  ws.stamp[idx] = ws.epoch;
   ws.dist[idx] = g;
   ws.parent[idx] = par;
 }
@@ -174,10 +170,7 @@ AStarResult aStarRouteWithBends(const grid::ObstacleMap& obstacles,
   // State = cell * 5 + dir; dir 4 = "no direction yet" (source states).
   constexpr std::size_t kDirs = 5;
   const auto labelDir = [&](std::size_t state, double dv, std::int64_t par) {
-    if (ws.stampDir[state] != ws.epoch) {
-      ws.stampDir[state] = ws.epoch;
-      ws.touched.push_back(static_cast<std::int32_t>(state / kDirs));
-    }
+    ws.stampDir[state] = ws.epoch;
     ws.distDir[state] = dv;
     ws.parentDir[state] = par;
   };

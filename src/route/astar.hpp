@@ -47,9 +47,7 @@ class RouterWorkspace;
 /// the target set (admissible and consistent; exact for a single target).
 ///
 /// `workspace` is the scratch memory for the search (see workspace.hpp);
-/// nullptr uses the calling thread's thread-local instance. Passing one
-/// explicitly also exposes the search's touched-cell list, which the
-/// parallel routing layer consumes.
+/// nullptr uses the calling thread's thread-local instance.
 AStarResult aStarRoute(const grid::ObstacleMap& obstacles, const AStarRequest& request,
                        RouterWorkspace* workspace = nullptr);
 

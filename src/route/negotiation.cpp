@@ -5,9 +5,7 @@
 #include <utility>
 
 #include "route/astar.hpp"
-#include "route/workspace.hpp"
 #include "trace/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pacor::route {
 namespace {
@@ -16,17 +14,6 @@ namespace {
 grid::NetId edgeNet(std::size_t edgeIndex) {
   return static_cast<grid::NetId>(edgeIndex) + 1'000'000;
 }
-
-/// A speculative routing attempt made against the iteration-start map
-/// state, before any edge of the iteration committed. `touched` is every
-/// cell the search labeled; the commit phase accepts the attempt only if
-/// none of those cells (nor the edge's terminals) were changed by an
-/// earlier commit, which makes the accepted path bit-identical to what a
-/// serial search at that point would have produced.
-struct SpeculativeEdge {
-  AStarResult found;
-  std::vector<std::int32_t> touched;
-};
 
 AStarRequest requestFor(const NegotiationEdge& edge, std::size_t edgeIndex,
                         const std::vector<double>& history,
@@ -44,8 +31,7 @@ AStarRequest requestFor(const NegotiationEdge& edge, std::size_t edgeIndex,
 
 NegotiationResult negotiatedRoute(const grid::ObstacleMap& obstacles,
                                   std::span<const NegotiationEdge> edges,
-                                  const NegotiationConfig& config,
-                                  util::ThreadPool* pool) {
+                                  const NegotiationConfig& config) {
   NegotiationResult result;
   result.paths.assign(edges.size(), {});
   result.routed.assign(edges.size(), false);
@@ -95,107 +81,48 @@ NegotiationResult negotiatedRoute(const grid::ObstacleMap& obstacles,
     return &forbiddenOf.at(edges[edgeIndex].group);
   };
 
-  // Cells changed by commits of the current iteration; marked with the
-  // iteration number so the array never needs clearing.
-  std::vector<std::uint32_t> changedStamp(static_cast<std::size_t>(g.cellCount()), 0);
-
-  const bool speculate = pool != nullptr && pool->threadCount() > 1 && edges.size() > 1;
-  std::vector<SpeculativeEdge> spec;
-
   for (int r = 0; r < config.maxIterations; ++r) {
     trace::Span iterSpan("negotiation.iteration", "route", trace::Level::kCluster);
     iterSpan.arg("iteration", r);
     result.iterations = r + 1;
-    const auto marker = static_cast<std::uint32_t>(r) + 1;
     grid::ObstacleMapTransaction txn(local);
-
-    // Speculation phase: route every edge against the iteration-start map
-    // (read-only here, so workers share it without copies); each worker
-    // uses its own thread-local workspace.
-    if (speculate) {
-      spec.resize(edges.size());
-      SharedTally* const tally = activeTally();
-      pool->parallelFor(edges.size(), [&, tally](std::size_t i, unsigned) {
-        // Credit worker-thread searches to the requesting thread's sink.
-        TallyScope tallyScope(tally);
-        RouterWorkspace& ws = localWorkspace();
-        spec[i].found =
-            aStarRoute(local, requestFor(edges[i], i, history, fenceFor(i)), &ws);
-        spec[i].touched = ws.touched;
-      });
-    }
 
     bool done = true;
     for (std::size_t i = 0; i < edges.size(); ++i) {
       result.routed[i] = false;
       result.paths[i].clear();
 
-      // A speculative result is the serial result iff the serial search
-      // would have seen the same owner on every cell it examined: no
-      // labeled cell changed (commits only turn free cells into occupied
-      // ones, so a blocked probe stays blocked) and no terminal of this
-      // edge changed (so the sibling-release step below is still a no-op,
-      // as it was at iteration start when every terminal was free).
-      bool useSpeculative = speculate;
-      if (useSpeculative)
-        for (const std::int32_t c : spec[i].touched)
-          if (changedStamp[static_cast<std::size_t>(c)] == marker) {
-            useSpeculative = false;
-            break;
+      // Terminal cells occupied by sibling edges of the same group are
+      // legal connection points: temporarily release them for this search.
+      std::vector<std::pair<Point, grid::NetId>> restored;
+      for (const Point t : terminals[i]) {
+        const grid::NetId owner = local.owner(t);
+        if (owner >= edgeNet(0)) {
+          const auto ownerIdx = static_cast<std::size_t>(owner - edgeNet(0));
+          if (ownerIdx < edges.size() && edges[ownerIdx].group == edges[i].group) {
+            restored.emplace_back(t, owner);
+            txn.releasePath(std::span<const Point>(&t, 1), owner);
           }
-      if (useSpeculative)
-        for (const Point t : terminals[i])
-          if (changedStamp[static_cast<std::size_t>(g.index(t))] == marker) {
-            useSpeculative = false;
-            break;
-          }
-
-      const std::size_t logStart = txn.log().size();
-      AStarResult found;
-      if (useSpeculative) {
-        found = std::move(spec[i].found);
-        if (found.success) txn.occupy(found.path, edgeNet(i));
-      } else {
-        // Serial (re-)route on the live map. Terminal cells occupied by
-        // sibling edges of the same group are legal connection points:
-        // temporarily release them for this search.
-        std::vector<std::pair<Point, grid::NetId>> restored;
-        for (const Point t : terminals[i]) {
-          const grid::NetId owner = local.owner(t);
-          if (owner >= edgeNet(0)) {
-            const auto ownerIdx = static_cast<std::size_t>(owner - edgeNet(0));
-            if (ownerIdx < edges.size() && edges[ownerIdx].group == edges[i].group) {
-              restored.emplace_back(t, owner);
-              txn.releasePath(std::span<const Point>(&t, 1), owner);
-            }
-          }
-        }
-
-        found = aStarRoute(local, requestFor(edges[i], i, history, fenceFor(i)));
-
-        if (found.success) {
-          // Released terminal cells that the path did not use go back to
-          // their sibling owner; used ones transfer to this edge.
-          const std::unordered_set<Point> onPath(found.path.begin(), found.path.end());
-          for (const auto& [cell, owner] : restored)
-            if (!onPath.count(cell)) txn.occupy(std::span<const Point>(&cell, 1), owner);
-          txn.occupy(found.path, edgeNet(i));
-        } else {
-          for (const auto& [cell, owner] : restored)
-            txn.occupy(std::span<const Point>(&cell, 1), owner);
         }
       }
 
+      AStarResult found =
+          aStarRoute(local, requestFor(edges[i], i, history, fenceFor(i)));
+
       if (found.success) {
+        // Released terminal cells that the path did not use go back to
+        // their sibling owner; used ones transfer to this edge.
+        const std::unordered_set<Point> onPath(found.path.begin(), found.path.end());
+        for (const auto& [cell, owner] : restored)
+          if (!onPath.count(cell)) txn.occupy(std::span<const Point>(&cell, 1), owner);
+        txn.occupy(found.path, edgeNet(i));
         result.paths[i] = std::move(found.path);
         result.routed[i] = true;
       } else {
+        for (const auto& [cell, owner] : restored)
+          txn.occupy(std::span<const Point>(&cell, 1), owner);
         done = false;
       }
-
-      const auto log = txn.log();
-      for (std::size_t k = logStart; k < log.size(); ++k)
-        changedStamp[static_cast<std::size_t>(log[k].cell)] = marker;
     }
 
     if (done) {

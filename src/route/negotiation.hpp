@@ -6,10 +6,6 @@
 #include "grid/obstacle_map.hpp"
 #include "route/path.hpp"
 
-namespace pacor::util {
-class ThreadPool;
-}
-
 namespace pacor::route {
 
 /// One tree edge to route: connect terminal set `a` to terminal set `b`.
@@ -43,15 +39,8 @@ struct NegotiationResult {
 /// Iterative negotiation-based detailed routing (Algorithm 1) of a set of
 /// tree edges on top of `obstacles` (static blockages + already-routed
 /// nets; not modified — the caller commits successful paths itself).
-///
-/// With a multi-thread `pool`, each iteration first routes all edges
-/// concurrently against the iteration-start occupancy, then commits them
-/// in edge order, accepting a speculative path only when no cell its
-/// search examined was changed by an earlier commit (re-routing serially
-/// otherwise). The result is bit-identical to pool == nullptr.
 NegotiationResult negotiatedRoute(const grid::ObstacleMap& obstacles,
                                   std::span<const NegotiationEdge> edges,
-                                  const NegotiationConfig& config = {},
-                                  util::ThreadPool* pool = nullptr);
+                                  const NegotiationConfig& config = {});
 
 }  // namespace pacor::route

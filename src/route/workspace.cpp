@@ -33,8 +33,6 @@ TallyScope::~TallyScope() noexcept {
   tlTally = prev_;
 }
 
-SharedTally* activeTally() noexcept { return tlTally; }
-
 void RouterWorkspace::flushCounters() noexcept {
   if (searches == 0 && expansions == 0 && boundedVisits == 0) return;
   gSearches.fetch_add(searches, std::memory_order_relaxed);
@@ -76,7 +74,6 @@ std::uint32_t RouterWorkspace::beginSearch() {
   ++epoch;
   heap.clear();
   dirHeap.clear();
-  touched.clear();
   // Unconsumed entries of the previous search live in [cursor, hi]; empty
   // those buckets (keeping their capacity) before the range resets.
   for (std::int64_t f = bucketCursor; f <= bucketHi; ++f)

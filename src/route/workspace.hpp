@@ -64,9 +64,8 @@ class SharedTally {
 /// destruction flush the thread's workspace so counts settle into the
 /// sink that was active while they accrued.
 ///
-/// The scope is per-thread: pool workers executing tasks on behalf of a
-/// request re-install the requesting thread's sink inside the task body
-/// (see activeTally()).
+/// The scope is per-thread, and a routing request runs entirely on the
+/// thread that installed it, so every search of the request lands here.
 class TallyScope {
  public:
   explicit TallyScope(SharedTally* sink) noexcept;
@@ -79,11 +78,6 @@ class TallyScope {
   SharedTally* prev_;
 };
 
-/// The calling thread's active sink (nullptr when none). parallelFor
-/// bodies capture this before the fan-out and re-install it per task so
-/// worker-thread searches are credited to the request that spawned them.
-SharedTally* activeTally() noexcept;
-
 /// Reusable scratch memory for the grid-search kernels (A*, the bend-aware
 /// variant, and the bounded-length DFS).
 ///
@@ -93,9 +87,8 @@ SharedTally* activeTally() noexcept;
 /// invalidates them with a generation stamp: a cell's dist/parent entry is
 /// meaningful only when stamp[cell] == epoch, so "clearing" a search is a
 /// single epoch increment. Each thread owns its own workspace
-/// (localWorkspace() hands out a thread_local instance), which is what
-/// makes the parallel routing layer allocation- and lock-free on its hot
-/// path.
+/// (localWorkspace() hands out a thread_local instance), so concurrent
+/// requests on different threads search allocation- and lock-free.
 ///
 /// The members are deliberately public: this is shared scratch for the
 /// kernels in astar.cpp / bounded_astar.cpp, not an abstraction boundary.
@@ -159,13 +152,6 @@ class RouterWorkspace {
   /// Pops the next entry in f order; returns false when the list is empty.
   bool bucketPop(BucketEntry& out);
 
-  // --- speculative-routing support ----------------------------------------
-  /// Cells labeled by the last search (indices; may contain duplicates for
-  /// the direction-aware variant). The parallel routing layer intersects
-  /// this with the set of cells other workers' committed paths changed to
-  /// decide whether a speculative result is identical to the serial one.
-  std::vector<std::int32_t> touched;
-
   // --- counters (flushed to the global tally by flushCounters) ------------
   std::uint64_t searches = 0;
   std::uint64_t expansions = 0;
@@ -179,7 +165,7 @@ class RouterWorkspace {
 
 /// Thread-local workspace: the default scratch for every search kernel, so
 /// call sites that do not care about workspaces stay allocation-free and
-/// each pool worker automatically owns a private instance.
+/// each thread automatically owns a private instance.
 RouterWorkspace& localWorkspace();
 
 }  // namespace pacor::route

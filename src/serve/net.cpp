@@ -113,7 +113,7 @@ struct NetServer::Connection {
 };
 
 NetServer::NetServer(const NetOptions& options)
-    : options_(options), server_(options.jobs) {
+    : options_(options) {
   server_.startDispatch(options_.admission);
 
   listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -302,10 +302,9 @@ int serveForever(const NetOptions& options) {
   ::sigaction(SIGINT, &action, nullptr);
 
   std::fprintf(stderr,
-               "pacor serve: listening on %s:%u (jobs=%u, max-inflight=%d, "
+               "pacor serve: listening on %s:%u (max-inflight=%d, "
                "max-queue=%zu, max-designs=%zu, deadline-ms=%lld)\n",
                options.host.c_str(), server->port(),
-               server->server().threadCount(),
                std::max(1, options.admission.maxInflight),
                options.admission.maxQueue, options.admission.maxDesigns,
                static_cast<long long>(options.admission.defaultDeadlineMs));

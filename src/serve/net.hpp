@@ -25,7 +25,6 @@ bool readFrame(int fd, std::string& payload, std::size_t maxBytes);
 struct NetOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; NetServer::port() tells which
-  int jobs = 1;            ///< shared routing pool size (0 = all cores)
   AdmissionOptions admission;  ///< queue bound + dispatcher count
   std::size_t maxFrameBytes = 1 << 20;  ///< oversized frames drop the conn
 };

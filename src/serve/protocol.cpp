@@ -119,10 +119,6 @@ std::optional<Request> parseRequestLine(const std::string& line,
                              std::to_string(kMaxDeadlineMs) + ")",
                          req.design);
       req.deadlineMs = ms;
-    } else if (token == "no-incremental-escape") {
-      req.incrementalEscape = false;
-    } else if (token == "fast-escape") {
-      req.fastEscape = true;
     } else {
       const std::string field = token.substr(0, token.find('='));
       return failParse(error, field, "unknown option '" + token + "'",
@@ -149,8 +145,6 @@ std::string formatRequestLine(const Request& req) {
     out += std::string(" trace-level=") + levelName(req.traceLevel);
   if (req.variant != Variant::kPacor)
     out += std::string(" variant=") + variantName(req.variant);
-  if (!req.incrementalEscape) out += " no-incremental-escape";
-  if (req.fastEscape) out += " fast-escape";
   if (req.deadlineMs > 0) out += " deadline_ms=" + std::to_string(req.deadlineMs);
   return out;
 }
@@ -162,8 +156,6 @@ RequestOptions optionsFor(const Request& req) {
     case Variant::kWosel: options.config = core::withoutSelectionConfig(); break;
     case Variant::kDetourFirst: options.config = core::detourFirstConfig(); break;
   }
-  options.config.incrementalEscape = req.incrementalEscape;
-  options.config.fastEscape = req.fastEscape;
   options.solutionPath = req.solutionPath;
   options.metricsPath = req.metricsPath;
   options.tracePath = req.tracePath;

@@ -26,15 +26,9 @@ namespace pacor::serve {
 
 namespace {
 
-unsigned poolSize(int jobs) {
-  const int resolved = jobs == 0 ? static_cast<int>(util::hardwareJobs()) : jobs;
-  return static_cast<unsigned>(std::max(1, resolved));
-}
-
 /// True when two configs produce byte-identical routed output, so a result
 /// cached under one can serve as the ECO base under the other. Every
-/// output-affecting knob is compared; jobs and incrementalEscape are
-/// excluded by the pipeline's bit-identity contract.
+/// config knob affects the output, so every one is compared.
 bool configsEquivalent(const core::PacorConfig& a, const core::PacorConfig& b) {
   return a.candidates.count == b.candidates.count &&
          a.candidates.ringSearchRadius == b.candidates.ringSearchRadius &&
@@ -47,7 +41,7 @@ bool configsEquivalent(const core::PacorConfig& a, const core::PacorConfig& b) {
          a.useBoundedDetour == b.useBoundedDetour &&
          a.detourStage == b.detourStage &&
          a.maxEscapeRounds == b.maxEscapeRounds &&
-         a.escapeMode == b.escapeMode && a.fastEscape == b.fastEscape &&
+         a.escapeMode == b.escapeMode &&
          a.matchingRetries == b.matchingRetries &&
          a.legalizeRadius == b.legalizeRadius;
 }
@@ -194,8 +188,6 @@ DesignContext::DesignContext(chip::Chip chip)
 
 DesignContext::~DesignContext() = default;
 
-Server::Server(int jobs) : pool_(poolSize(jobs)) {}
-
 Server::~Server() { drainAndStop(); }
 
 std::shared_ptr<DesignContext> Server::context(
@@ -279,7 +271,6 @@ Server::Stats Server::stats() const {
 
 Response Server::route(DesignContext& ctx, const RequestOptions& options) {
   Response resp;
-  resp.design = ctx.chip().name;
 
   // Trace ownership is serialized explicitly: a traced request waits for
   // every in-flight request to drain and runs alone, so its session is
@@ -297,14 +288,18 @@ Response Server::route(DesignContext& ctx, const RequestOptions& options) {
   // The chip and template must stay put while this request routes; eco()
   // takes the same lock exclusively to swap them.
   std::shared_lock<std::shared_mutex> state(ctx.stateMutex_);
+  resp.design = ctx.chip_.name;
   // One request at a time drives the persistent escape session; losers of
   // the try-lock route through a request-local session (byte-identical,
   // just without the cross-request warm start). Requests arriving through
-  // the submit() queue are serialized per design, so they always win.
+  // the submit() queue are serialized per design, so they win unless a
+  // watchdog recycle left an abandoned execution of this design still
+  // routing: routing does not poll the cancel flag, so that execution
+  // holds the lock until its route finishes. The try-lock keeps the next
+  // request from waiting behind it (see DesignContext::escapeMutex_).
   std::unique_lock<std::mutex> sessionLock(ctx.escapeMutex_, std::try_to_lock);
   try {
     core::RouteResources resources;
-    resources.pool = &pool_;
     resources.obstacleTemplate = &ctx.obstacleTemplate_;
     if (sessionLock.owns_lock()) resources.escapeSession = &ctx.escapeSession_;
     const core::PacorResult result =
@@ -372,7 +367,6 @@ Response Server::eco(DesignContext& ctx, const chip::ChipDelta& delta,
   try {
     const chip::Chip base = ctx.chip_;
     core::RouteResources resources;
-    resources.pool = &pool_;
     resources.escapeSession = &ctx.escapeSession_;
 
     // The ECO base: the cached previous result when its config routes
@@ -640,8 +634,10 @@ void Server::dispatchLoop() {
       // replacement dispatcher. This thread's slot is gone -- record the
       // id so the watchdog can join-and-drop the handle (dispatchers_
       // must not grow by one per recycle forever), discard the result,
-      // and exit. (Bounded: every blocking step in execute() polls the
-      // cancel flag, so an abandoned thread always gets here.)
+      // and exit. An abandoned thread always gets here, but not promptly:
+      // the design load polls the cancel flag, routing does not. A thread
+      // abandoned mid-route first runs that route to completion, so it
+      // lingers for the route's own running time, not the deadline.
       finishedDispatchers_.push_back(std::this_thread::get_id());
       watchdogCv_.notify_one();  // reap this handle promptly
       return;
@@ -808,8 +804,12 @@ void Server::drainAndStop() {
     workers.swap(dispatchers_);
     watchdog.swap(watchdog_);
   }
-  // Joins are bounded even for decommissioned threads: their blocking
-  // steps poll the cancel flag the watchdog set when it abandoned them.
+  // Joins wait for decommissioned threads too. One abandoned during its
+  // design load exits as soon as the load sees the cancel flag; one
+  // abandoned mid-route exits only when that route completes, because
+  // routing does not poll the flag. Every route terminates (its loops are
+  // iteration-capped), so a join is bounded by the longest abandoned
+  // route's running time -- not by any deadline.
   for (std::thread& t : workers) t.join();
   if (watchdog.joinable()) watchdog.join();
 }
@@ -834,7 +834,7 @@ int runBatch(std::istream& manifest, std::ostream& out, const BatchOptions& opti
     Response immediate;
   };
 
-  Server server(options.jobs);
+  Server server;
   AdmissionOptions admission;
   admission.maxInflight = std::max(1, options.concurrency);
   admission.maxQueue = 0;
@@ -880,9 +880,9 @@ int runBatch(std::istream& manifest, std::ostream& out, const BatchOptions& opti
     if (!resp.ok || (!genOk && !resp.complete)) ++failed;
   }
   std::fprintf(stderr,
-               "pacor serve: %zu request(s), %zu design context(s), jobs=%u, "
+               "pacor serve: %zu request(s), %zu design context(s), "
                "concurrency=%d, %d failure(s), %.2fs\n",
-               slots.size(), server.designCount(), server.threadCount(),
+               slots.size(), server.designCount(),
                std::max(1, options.concurrency), failed, seconds);
   return failed;
 }

@@ -26,7 +26,6 @@
 #include "pacor/result.hpp"
 #include "serve/protocol.hpp"
 #include "trace/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pacor::serve {
 
@@ -79,8 +78,9 @@ chip::Chip loadDesign(const std::string& token);
 /// request), the design's persistent EscapeFlowSession (warm-rebound into
 /// each request that wins the try-lock; see Server::route), the previous
 /// routed result for ECO chains, and this design's trace session handle.
-/// Thread-local RouterWorkspaces live on the shared pool's workers, so
-/// they too survive across requests without being owned here.
+/// A request routes entirely on the thread that executes it (a dispatcher,
+/// or the caller of route()/eco()), whose thread-local RouterWorkspace
+/// survives across requests without being owned here.
 class DesignContext {
  public:
   explicit DesignContext(chip::Chip chip);
@@ -109,7 +109,12 @@ class DesignContext {
   /// the slot into routeChip (which warm-rebinds or lazily builds it);
   /// losers route with a request-local session, byte-identical either
   /// way. The submit() queue tier serializes same-design requests, so
-  /// queued traffic always wins this lock and always lands warm.
+  /// queued traffic normally wins this lock and lands warm. The exception
+  /// is a watchdog recycle: routing does not poll the cancel flag, so the
+  /// abandoned execution keeps routing and keeps this lock until its route
+  /// finishes, and the design's next request loses the try-lock. That is
+  /// why this is a try-lock: the next request routes cold at once instead
+  /// of waiting behind a route nobody can cancel.
   std::mutex escapeMutex_;
   std::unique_ptr<core::EscapeFlowSession> escapeSession_;
 
@@ -152,11 +157,12 @@ struct AdmissionOptions {
   bool allowFifoDesigns = false;
 };
 
-/// Long-lived request loop state: one shared worker pool, one
-/// DesignContext per distinct design. Requests may be submitted from any
-/// number of threads concurrently; each gets an isolated result (own
-/// MetricsRegistry, request-scoped search counters) that is byte-identical
-/// to a fresh one-shot routeChip of the same chip and config.
+/// Long-lived request loop state: one DesignContext per distinct design.
+/// Each request runs on one thread from start to finish. Requests may be
+/// submitted from any number of threads concurrently; each gets an
+/// isolated result (own MetricsRegistry, request-scoped search counters)
+/// that is byte-identical to a fresh one-shot routeChip of the same chip
+/// and config.
 ///
 /// Two tiers share the same execution core:
 ///  * route()/eco() -- direct, caller-threaded execution against a held
@@ -164,8 +170,9 @@ struct AdmissionOptions {
 ///    try-lock; losers run a request-local session, byte-identical).
 ///  * submit() -- the queued front-end tier: each request joins its
 ///    design's FIFO queue, design queues run one request at a time (so
-///    repeat traffic always lands on the warm EscapeFlowSession and
-///    obstacle template), distinct designs run concurrently on up to
+///    repeat traffic lands on the warm EscapeFlowSession and obstacle
+///    template; see DesignContext::escapeMutex_ for the one exception),
+///    distinct designs run concurrently on up to
 ///    AdmissionOptions::maxInflight dispatcher threads, and a bounded
 ///    waiting queue sheds load with `busy` responses past the high-water
 ///    mark. Both the batch manifest loop and the socket front end are
@@ -184,8 +191,7 @@ struct AdmissionOptions {
 /// refcounts, so eviction never races an executing route.
 class Server {
  public:
-  /// `jobs` sizes the shared routing pool (0 = all hardware threads).
-  explicit Server(int jobs = 1);
+  Server() = default;
   ~Server();
 
   Server(const Server&) = delete;
@@ -251,7 +257,6 @@ class Server {
   bool draining() const;
 
   std::size_t designCount() const;
-  unsigned threadCount() const noexcept { return pool_.threadCount(); }
 
   /// Monotonic liveness counters, surfaced by the front ends and
   /// BENCH_serve.json.
@@ -303,7 +308,6 @@ class Server {
   void maybeEvictLocked();
   void reapDispatchersLocked();
 
-  util::ThreadPool pool_;
   mutable std::mutex contextsMutex_;
   /// LRU-bounded context cache. The shared_ptr refcount doubles as the
   /// pin: evictable entries are exactly those with use_count()==1 (the
@@ -370,7 +374,6 @@ class Server {
 /// given manifest. Returns the number of failed requests (error responses
 /// plus incomplete routings).
 struct BatchOptions {
-  int jobs = 1;         ///< shared routing pool size (0 = all cores)
   int concurrency = 1;  ///< requests in flight at once
 
   /// Forwarded into the server's AdmissionOptions (the waiting queue

@@ -21,9 +21,8 @@ std::int64_t nowNs() noexcept {
 }
 
 /// Per-thread event storage. Buffers are owned by the registry, not the
-/// threads: a one-shot routeChip call's pool workers die before
-/// endSession() merges their spans, while a server's shared pool workers
-/// outlive many sessions. A thread re-acquires a fresh buffer per session
+/// threads: a recording thread may exit before endSession() merges its
+/// spans, while a server's dispatcher threads outlive many sessions. A thread re-acquires a fresh buffer per session
 /// (the session stamp invalidates the cached thread_local pointer), so
 /// one long-lived thread across two sessions never writes into a drained
 /// buffer.

@@ -7,23 +7,14 @@
 #include "chip/generator.hpp"
 #include "chip/io.hpp"
 #include "pacor/pipeline.hpp"
-#include "pacor/solution_io.hpp"
-#include "util/thread_pool.hpp"
 #include "verify/oracle.hpp"
 
 // Tier-1 coverage of the FPVA valve-array generator and its spec grammar:
 // the generated instances must validate, round-trip through the chip text
-// format, route oracle-clean with the default flow, and route
-// byte-identically serial vs. with the worker pool.
+// format, and route oracle-clean with the default flow.
 
 namespace pacor {
 namespace {
-
-core::PacorConfig jobsConfig(int jobs) {
-  core::PacorConfig cfg = core::pacorDefaultConfig();
-  cfg.jobs = jobs;
-  return cfg;
-}
 
 TEST(FpvaGenerator, DefaultEightByEightValidatesAndHasTheLattice) {
   chip::FpvaParams params;  // 8x8, auto pitch/blocks
@@ -79,7 +70,7 @@ TEST(FpvaGenerator, DeterministicForASeedAndDistinctAcrossSeeds) {
 
 TEST(FpvaRouting, EightByEightRoutesOracleClean) {
   const auto c = chip::generateFpvaChip(chip::parseFpvaSpec("8x8"));
-  const auto result = core::routeChip(c, jobsConfig(1));
+  const auto result = core::routeChip(c);
   EXPECT_TRUE(result.complete);
   const auto report = verify::verifySolution(c, result);
   EXPECT_TRUE(report.clean()) << report.str();
@@ -89,18 +80,10 @@ TEST(FpvaRouting, DenseArrayRoutesOracleClean) {
   // 12x10 with obstacles and every block length-matched: the dense mix.
   const auto c =
       chip::generateFpvaChip(chip::parseFpvaSpec("fpva:12x10:obs=30:lm=100"));
-  const auto result = core::routeChip(c, jobsConfig(1));
+  const auto result = core::routeChip(c);
   EXPECT_TRUE(result.complete);
   const auto report = verify::verifySolution(c, result);
   EXPECT_TRUE(report.clean()) << report.str();
-}
-
-TEST(FpvaRouting, SerialAndParallelAreByteIdentical) {
-  const int jobs = std::max(2, static_cast<int>(util::hardwareJobs()));
-  const auto c = chip::generateFpvaChip(chip::parseFpvaSpec("10x10:lm=100"));
-  const auto serial = core::routeChip(c, jobsConfig(1));
-  const auto parallel = core::routeChip(c, jobsConfig(jobs));
-  EXPECT_EQ(core::solutionToString(serial), core::solutionToString(parallel));
 }
 
 TEST(FpvaSpec, ParsesBareAndPrefixedForms) {

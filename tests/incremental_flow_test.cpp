@@ -11,14 +11,18 @@
 
 #include <cstdint>
 #include <random>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "chip/generator.hpp"
 #include "graph/min_cost_flow.hpp"
 #include "grid/obstacle_map.hpp"
+#include "pacor/cluster_routing.hpp"
+#include "pacor/clustering.hpp"
 #include "pacor/escape.hpp"
+#include "pacor/mst_routing.hpp"
 #include "pacor/pipeline.hpp"
-#include "pacor/solution_io.hpp"
 
 namespace pacor::graph {
 namespace {
@@ -213,25 +217,105 @@ TEST(IncrementalFlow, TruncateEdgesDropsPerRoundSuffix) {
 namespace pacor {
 namespace {
 
-/// Pipeline-level bit-identity: the persistent EscapeFlowSession must
-/// reproduce the from-scratch escape solver's solution exactly, including
-/// on designs that take several rip-up rounds.
-TEST(IncrementalEscape, SessionMatchesScratchOnStressDesigns) {
-  for (const std::uint32_t seed : {2u, 5u}) {
-    const chip::Chip chip = chip::generateChip(chip::stressParams(seed));
-    core::PacorConfig inc = core::pacorDefaultConfig();
-    inc.incrementalEscape = true;
-    core::PacorConfig scratch = inc;
-    scratch.incrementalEscape = false;
-    const auto a = core::routeChip(chip, inc);
-    const auto b = core::routeChip(chip, scratch);
-    EXPECT_EQ(core::solutionToString(a), core::solutionToString(b))
-        << "stress seed " << seed;
-    EXPECT_GT(a.metrics.getInt("escape.flow.persistent_arcs"), 0);
-    if (a.metrics.getInt("escape.rounds") >= 2) {
-      EXPECT_GT(a.metrics.getInt("escape.flow.warm_rounds"), 0);
+/// Stages 1-3 of routeChip (clustering, LM cluster routing, MST routing)
+/// on a fresh obstacle map, ready for the escape stage.
+std::vector<core::WorkCluster> routeToEscape(const chip::Chip& chip,
+                                             grid::ObstacleMap& obstacles) {
+  grid::NetId nextNet = 0;
+  std::vector<core::WorkCluster> clusters;
+  for (core::ClusterSpec& spec : core::clusterValves(chip)) {
+    core::WorkCluster wc;
+    wc.spec = std::move(spec);
+    wc.net = nextNet++;
+    for (const chip::ValveId v : wc.spec.valves) {
+      const geom::Point cell = chip.valve(v).pos;
+      obstacles.occupy(std::span<const geom::Point>(&cell, 1), wc.net);
     }
-    EXPECT_EQ(b.metrics.getInt("escape.flow.incremental"), 0);
+    clusters.push_back(std::move(wc));
+  }
+  std::vector<core::WorkCluster*> lm;
+  for (core::WorkCluster& wc : clusters)
+    if (wc.wantsMatching() && wc.spec.valves.size() >= 2 && !wc.internallyRouted)
+      lm.push_back(&wc);
+  core::routeLengthMatchingClusters(chip, core::pacorDefaultConfig(), obstacles, lm);
+  return core::routeClustersStage(chip, obstacles, std::move(clusters),
+                                  [&nextNet] { return nextNet++; });
+}
+
+/// Releases every escape path and pin, plus the tree of cluster `victim`
+/// (which leaves that cluster unrouted and out of the next escape round).
+void ripUp(grid::ObstacleMap& obstacles, std::vector<core::WorkCluster>& clusters,
+           const chip::Chip& chip, std::size_t victim) {
+  for (core::WorkCluster& wc : clusters) {
+    if (wc.escapePath.size() > 1)
+      obstacles.releasePath(std::span<const geom::Point>(wc.escapePath.data() + 1,
+                                                         wc.escapePath.size() - 1),
+                            wc.net);
+    wc.escapePath.clear();
+    wc.pin = -1;
+  }
+  core::WorkCluster& wc = clusters[victim];
+  obstacles.release(wc.net);
+  for (const chip::ValveId v : wc.spec.valves) {
+    const geom::Point cell = chip.valve(v).pos;
+    obstacles.occupy(std::span<const geom::Point>(&cell, 1), wc.net);
+  }
+  wc.internallyRouted = false;
+  wc.treePaths.clear();
+  wc.tapCells.clear();
+}
+
+std::vector<core::WorkCluster*> pointersTo(std::vector<core::WorkCluster>& clusters) {
+  std::vector<core::WorkCluster*> ptrs;
+  for (core::WorkCluster& wc : clusters) ptrs.push_back(&wc);
+  return ptrs;
+}
+
+/// The pipeline's only escape path is the persistent EscapeFlowSession;
+/// escapeRoute() builds the same network from scratch and is the
+/// reference. Replayed on one post-routing state, both must escape every
+/// cluster identically -- on the cold first round and on a warm second
+/// round after the same rip-up, which frees one tree's cells, drops that
+/// cluster from the round, and re-opens every released pin.
+TEST(IncrementalEscape, StagedReplayMatchesEscapeRoute) {
+  for (const std::uint32_t seed : {2u, 5u}) {
+    SCOPED_TRACE("stress seed " + std::to_string(seed));
+    const chip::Chip chip = chip::generateChip(chip::stressParams(seed));
+    grid::ObstacleMap sessionMap = core::makeRoutingObstacleTemplate(chip);
+    std::vector<core::WorkCluster> sessionClusters = routeToEscape(chip, sessionMap);
+    grid::ObstacleMap scratchMap = sessionMap;
+    std::vector<core::WorkCluster> scratchClusters = sessionClusters;
+
+    std::size_t victim = 0;
+    while (victim < sessionClusters.size() &&
+           !(sessionClusters[victim].spec.valves.size() >= 2 &&
+             sessionClusters[victim].internallyRouted))
+      ++victim;
+    ASSERT_LT(victim, sessionClusters.size()) << "no routed multi-valve cluster";
+
+    core::EscapeFlowSession session(chip, sessionMap);
+    for (int round = 1; round <= 2; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      if (round == 2) {
+        ripUp(sessionMap, sessionClusters, chip, victim);
+        ripUp(scratchMap, scratchClusters, chip, victim);
+      }
+      std::vector<core::WorkCluster*> sessionPtrs = pointersTo(sessionClusters);
+      std::vector<core::WorkCluster*> scratchPtrs = pointersTo(scratchClusters);
+      const core::EscapeOutcome warm = session.route(sessionPtrs);
+      const core::EscapeOutcome cold = core::escapeRoute(chip, scratchMap, scratchPtrs);
+      EXPECT_GT(warm.requested, 0);
+      EXPECT_EQ(warm.requested, cold.requested);
+      EXPECT_EQ(warm.routedCount, cold.routedCount);
+      EXPECT_EQ(warm.flowCost, cold.flowCost);
+      for (std::size_t i = 0; i < sessionClusters.size(); ++i) {
+        EXPECT_EQ(sessionClusters[i].pin, scratchClusters[i].pin) << "cluster " << i;
+        EXPECT_EQ(sessionClusters[i].escapePath, scratchClusters[i].escapePath)
+            << "cluster " << i;
+      }
+    }
+    EXPECT_GT(session.stats().warmRounds, 0);
+    EXPECT_GT(session.stats().warmDeltaCells, 0);
   }
 }
 

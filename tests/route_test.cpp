@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <stdexcept>
 #include <unordered_set>
 
 #include "grid/obstacle_map.hpp"
@@ -11,7 +9,6 @@
 #include "route/negotiation.hpp"
 #include "route/path.hpp"
 #include "route/workspace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pacor::route {
 namespace {
@@ -423,124 +420,6 @@ TEST(RouterWorkspace, ReusedWorkspaceMatchesFreshSearches) {
     ASSERT_TRUE(a.success);
     EXPECT_EQ(a.path, b.path);
     EXPECT_EQ(a.cost, b.cost);
-  }
-}
-
-TEST(RouterWorkspace, TouchedCoversThePathWithoutDuplicates) {
-  ObstacleMap obs((Grid(16, 16)));
-  RouterWorkspace ws;
-  AStarRequest req;
-  req.sources = {{1, 1}};
-  req.targets = {{12, 9}};
-  req.net = 1;
-  const auto r = aStarRoute(obs, req, &ws);
-  ASSERT_TRUE(r.success);
-  const Grid& g = obs.grid();
-  std::unordered_set<std::int32_t> touched(ws.touched.begin(), ws.touched.end());
-  EXPECT_EQ(touched.size(), ws.touched.size());  // labeled once each
-  for (const Point p : r.path) EXPECT_TRUE(touched.contains(g.index(p)));
-}
-
-TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
-  util::ThreadPool pool(4);
-  EXPECT_EQ(pool.threadCount(), 4u);
-  std::vector<std::atomic<int>> hits(997);
-  pool.parallelFor(hits.size(), [&](std::size_t i, unsigned) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ReusableAcrossBatches) {
-  util::ThreadPool pool(3);
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<int> sum{0};
-    pool.parallelFor(20, [&](std::size_t i, unsigned) {
-      sum += static_cast<int>(i);
-    });
-    EXPECT_EQ(sum.load(), 190);
-  }
-}
-
-TEST(ThreadPool, SingleThreadRunsInline) {
-  util::ThreadPool pool(1);
-  EXPECT_EQ(pool.threadCount(), 1u);
-  std::vector<int> order;
-  pool.parallelFor(5, [&](std::size_t i, unsigned w) {
-    EXPECT_EQ(w, 0u);
-    order.push_back(static_cast<int>(i));  // inline: no data race
-  });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPool, RethrowsFirstBodyException) {
-  util::ThreadPool pool(4);
-  EXPECT_THROW(pool.parallelFor(100,
-                                [&](std::size_t i, unsigned) {
-                                  if (i == 42) throw std::runtime_error("boom");
-                                }),
-               std::runtime_error);
-  // The pool must remain usable after an exceptional batch.
-  std::atomic<int> count{0};
-  pool.parallelFor(10, [&](std::size_t, unsigned) { ++count; });
-  EXPECT_EQ(count.load(), 10);
-}
-
-TEST(ThreadPool, PropagatesExceptionWhenEveryTaskThrows) {
-  // Worst-case error path: all workers race to record the failure; exactly
-  // one exception must surface, every task must still be drained, and the
-  // batch must terminate (no lost wakeups on the done condition).
-  util::ThreadPool pool(4);
-  std::atomic<int> attempts{0};
-  try {
-    pool.parallelFor(64, [&](std::size_t i, unsigned) {
-      ++attempts;
-      throw std::runtime_error("task " + std::to_string(i));
-    });
-    FAIL() << "expected parallelFor to rethrow";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("task "), std::string::npos);
-  }
-  EXPECT_EQ(attempts.load(), 64);
-}
-
-TEST(ThreadPool, PropagatesExceptionFromInlineSingleThreadMode) {
-  // threads <= 1 short-circuits to a plain loop; the error contract must
-  // be identical to the threaded path.
-  util::ThreadPool pool(1);
-  EXPECT_THROW(pool.parallelFor(8,
-                                [](std::size_t i, unsigned) {
-                                  if (i == 3) throw std::logic_error("inline");
-                                }),
-               std::logic_error);
-  int ran = 0;
-  pool.parallelFor(4, [&](std::size_t, unsigned) { ++ran; });
-  EXPECT_EQ(ran, 4);
-}
-
-TEST(ThreadPool, NonStdExceptionsSurviveTheWorkerBoundary) {
-  util::ThreadPool pool(3);
-  EXPECT_THROW(pool.parallelFor(16,
-                                [](std::size_t i, unsigned) {
-                                  if (i % 5 == 0) throw 42;  // not std::exception
-                                }),
-               int);
-}
-
-TEST(ThreadPool, ExceptionalBatchesAlternatingWithCleanOnes) {
-  // Regression guard for stale error state: a failure in batch N must not
-  // leak into batch N+1, across many alternations on one pool.
-  util::ThreadPool pool(4);
-  for (int round = 0; round < 25; ++round) {
-    EXPECT_THROW(pool.parallelFor(12,
-                                  [&](std::size_t i, unsigned) {
-                                    if (i == static_cast<std::size_t>(round % 12))
-                                      throw std::runtime_error("round");
-                                  }),
-                 std::runtime_error);
-    std::atomic<int> sum{0};
-    pool.parallelFor(12, [&](std::size_t i, unsigned) {
-      sum += static_cast<int>(i);
-    });
-    EXPECT_EQ(sum.load(), 66) << "round " << round;
   }
 }
 

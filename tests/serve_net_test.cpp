@@ -80,17 +80,15 @@ TEST(ServeProtocol, ValidLinesRoundTripExactly) {
       {"  S1   sol=out.sol  ", "S1 sol=out.sol"},
       {"S2 metrics=m.json sol=a.sol", "S2 sol=a.sol metrics=m.json"},
       {"fpva:8x8 variant=wosel", "fpva:8x8 variant=wosel"},
-      {"S3 trace=t.json trace-level=search fast-escape",
-       "S3 trace=t.json trace-level=search fast-escape"},
+      {"S3 trace=t.json trace-level=search", "S3 trace=t.json trace-level=search"},
       {"S1 variant=pacor", "S1"},  // defaults canonicalize away
       {"S1 trace=t.json trace-level=cluster", "S1 trace=t.json"},
-      {"S4 no-incremental-escape", "S4 no-incremental-escape"},
       {"eco S1 delta=d.delta", "eco S1 delta=d.delta"},
       {"eco S1 delta=d.delta variant=detour-first sol=s.sol",
        "eco S1 delta=d.delta sol=s.sol variant=detour-first"},
       {"gen fpva:16x16", "gen fpva:16x16"},
       {"S1 deadline_ms=500", "S1 deadline_ms=500"},
-      {"S1 deadline_ms=250 fast-escape", "S1 fast-escape deadline_ms=250"},
+      {"S1 deadline_ms=250 variant=wosel", "S1 variant=wosel deadline_ms=250"},
       {"eco S2 deadline_ms=86400000 delta=d.delta",
        "eco S2 delta=d.delta deadline_ms=86400000"},
   };
@@ -165,10 +163,8 @@ TEST(ServeProtocol, BatchModeReportsLineNumbers) {
 
 // --- socket tier ---------------------------------------------------------
 
-serve::net::NetOptions loopback(int jobs = 1) {
-  serve::net::NetOptions options;
-  options.jobs = jobs;
-  return options;  // host 127.0.0.1, port 0 = ephemeral
+serve::net::NetOptions loopback() {
+  return {};  // host 127.0.0.1, port 0 = ephemeral
 }
 
 TEST(ServeNet, MalformedFramesGetStructuredErrResponses) {
@@ -178,6 +174,7 @@ TEST(ServeNet, MalformedFramesGetStructuredErrResponses) {
       {"eco S1", "err S1 field=delta eco request without delta=PATH"},
       {"S1 trace-level=bogus", "err S1 field=trace-level bad trace-level 'bogus'"},
       {"S1 frobnicate", "err S1 field=frobnicate unknown option 'frobnicate'"},
+      {"S1 fast-escape", "err S1 field=fast-escape unknown option 'fast-escape'"},
       {"", "err - field=design empty request line"},
   };
   for (const auto& [line, expected] : kTable) {
@@ -196,7 +193,7 @@ TEST(ServeNet, ConcurrentClientsMatchOneshotByteForByte) {
   std::map<std::string, Oneshot> expected;
   for (const std::string& design : kDesigns) expected[design] = oneshot(design);
 
-  serve::net::NetServer server(loopback(/*jobs=*/2));
+  serve::net::NetServer server(loopback());
   constexpr int kClients = 4;
   constexpr int kRounds = 3;
   std::vector<std::string> failures(kClients);
@@ -342,7 +339,7 @@ TEST(ServeNet, FullQueueShedsLoadWithBusyThenRecovers) {
   // Deterministic at the Server tier: one dispatcher, a one-slot waiting
   // queue, and the executing request parked on a FifoDesign.
   FifoDesign fifo("serve_net_busy.chip");
-  serve::Server server(/*jobs=*/1);
+  serve::Server server;
   serve::AdmissionOptions admission;
   admission.maxInflight = 1;
   admission.maxQueue = 1;
@@ -446,7 +443,7 @@ TEST(ServeDeadline, ExpiresWhileQueuedBehindAParkedDesign) {
   // never pop, so only the watchdog's queue sweep (or the pop-time check,
   // if the timing lands there) can answer it.
   FifoDesign fifo("serve_deadline_queued.chip");
-  serve::Server server(/*jobs=*/1);
+  serve::Server server;
   serve::AdmissionOptions admission;
   admission.maxInflight = 1;
   admission.allowFifoDesigns = true;
@@ -486,7 +483,7 @@ TEST(ServeDeadline, ExpiresWhileQueuedBehindAParkedDesign) {
 
 TEST(ServeDeadline, MidExecutionExpiryRecyclesTheDispatcherSlot) {
   FifoDesign fifo("serve_deadline_exec.chip");
-  serve::Server server(/*jobs=*/1);
+  serve::Server server;
   serve::AdmissionOptions admission;
   admission.maxInflight = 1;
   admission.allowFifoDesigns = true;
@@ -533,7 +530,7 @@ TEST(ServeDeadline, MidExecutionExpiryRecyclesTheDispatcherSlot) {
 
 TEST(ServeDeadline, ServerDefaultAppliesWhenTheRequestCarriesNone) {
   FifoDesign fifo("serve_deadline_default.chip");
-  serve::Server server(/*jobs=*/1);
+  serve::Server server;
   serve::AdmissionOptions admission;
   admission.maxInflight = 1;
   admission.defaultDeadlineMs = 100;
@@ -563,7 +560,7 @@ TEST(ServeDeadline, SweptQueueCannotDoubleDispatchADesign) {
   FifoDesign parked1("serve_sweep_p1.chip");
   FifoDesign parked2("serve_sweep_p2.chip");
   FifoDesign target("serve_sweep_target.chip");
-  serve::Server server(/*jobs=*/1);
+  serve::Server server;
   serve::AdmissionOptions admission;
   admission.maxInflight = 2;
   admission.allowFifoDesigns = true;
@@ -623,7 +620,7 @@ TEST(ServeDeadline, EcoRequestsHonorGenerousDeadlines) {
   const std::string deltaPath = testing::TempDir() + "serve_deadline_empty.delta";
   chip::writeDeltaFile(deltaPath, chip::ChipDelta{});
 
-  serve::Server server(/*jobs=*/1);
+  serve::Server server;
   serve::Request route;
   route.design = "S1";
   route.deadlineMs = serve::kMaxDeadlineMs;
@@ -646,7 +643,7 @@ TEST(ServeDeadline, EcoRequestsHonorGenerousDeadlines) {
 // --- LRU design cache ----------------------------------------------------
 
 TEST(ServeLru, EvictionRebuildsTheDesignByteIdentically) {
-  serve::Server server(/*jobs=*/1);
+  serve::Server server;
   serve::AdmissionOptions admission;
   admission.maxInflight = 1;
   admission.maxDesigns = 2;
@@ -678,7 +675,7 @@ TEST(ServeLru, EvictionRebuildsTheDesignByteIdentically) {
 }
 
 TEST(ServeLru, PinnedContextsAreNeverEvicted) {
-  serve::Server server(/*jobs=*/1);
+  serve::Server server;
   // The external pin: holding the shared_ptr is exactly what an executing
   // request does, so this models an in-flight context under pressure.
   std::shared_ptr<serve::DesignContext> pin = server.context(
@@ -720,7 +717,7 @@ TEST(ServeLoad, NonRegularDesignFilesGetStructuredErrors) {
   const std::string dirPath = testing::TempDir() + "serve_load_dir.chip";
   ::mkdir(dirPath.c_str(), 0700);
 
-  serve::Server server(/*jobs=*/1);
+  serve::Server server;
   for (const std::string& path : {fifoPath, dirPath}) {
     SCOPED_TRACE(path);
     serve::Request req;

@@ -6,9 +6,9 @@
 //    process-wide tally, so concurrent calls cross-contaminated each
 //    other's search.* metrics).
 //  * Serve-vs-oneshot byte-identity: requests through one Server -- which
-//    shares a thread pool and per-design obstacle templates across
-//    requests, sequentially and concurrently -- produce canonical
-//    solution text identical to a fresh one-shot routeChip.
+//    shares per-design obstacle templates across requests, sequentially
+//    and concurrently -- produce canonical solution text identical to a
+//    fresh one-shot routeChip.
 //  * Trace ownership: concurrent traced requests are serialized by the
 //    server, so both get their own complete trace and neither is
 //    silently discarded by supersession.
@@ -34,12 +34,6 @@
 namespace pacor {
 namespace {
 
-core::PacorConfig serialConfig() {
-  core::PacorConfig cfg = core::pacorDefaultConfig();
-  cfg.jobs = 1;
-  return cfg;
-}
-
 void expectCountersEqual(const route::SearchCounters& a,
                          const route::SearchCounters& b, const char* stage) {
   SCOPED_TRACE(stage);
@@ -59,8 +53,8 @@ TEST(RequestIsolation, ConcurrentRouteChipCountersMatchSerial) {
   const chip::Chip chipA = chip::generateChip(chip::s3Params());
   const chip::Chip chipB = chip::generateChip(chip::s4Params());
 
-  const core::PacorResult serialA = core::routeChip(chipA, serialConfig());
-  const core::PacorResult serialB = core::routeChip(chipB, serialConfig());
+  const core::PacorResult serialA = core::routeChip(chipA, core::pacorDefaultConfig());
+  const core::PacorResult serialB = core::routeChip(chipB, core::pacorDefaultConfig());
 
   // Both calls run in flight together (spin barrier), so a process-global
   // tally difference would attribute each call's searches to the other.
@@ -76,7 +70,7 @@ TEST(RequestIsolation, ConcurrentRouteChipCountersMatchSerial) {
       ready.fetch_add(1);
       while (ready.load() < 2) {
       }
-      out = core::routeChip(chip, serialConfig());
+      out = core::routeChip(chip, core::pacorDefaultConfig());
     };
     std::thread ta(runOn, std::cref(chipA), std::ref(concurrentA));
     std::thread tb(runOn, std::cref(chipB), std::ref(concurrentB));
@@ -96,7 +90,7 @@ TEST(RequestIsolation, ObstacleTemplateMustMatchTheChip) {
   const grid::ObstacleMap wrongTemplate = core::makeRoutingObstacleTemplate(small);
   core::RouteResources resources;
   resources.obstacleTemplate = &wrongTemplate;
-  EXPECT_THROW(core::routeChip(big, serialConfig(), resources),
+  EXPECT_THROW(core::routeChip(big, core::pacorDefaultConfig(), resources),
                std::invalid_argument);
 }
 
@@ -104,14 +98,14 @@ TEST(ServeIdentity, SequentialRequestsMatchOneShot) {
   const chip::Chip chipA = chip::generateChip(chip::s2Params());
   const chip::Chip chipB = chip::generateChip(chip::s3Params());
   const std::string oneShotA =
-      core::solutionToString(core::routeChip(chipA, serialConfig()));
+      core::solutionToString(core::routeChip(chipA, core::pacorDefaultConfig()));
   const std::string oneShotB =
-      core::solutionToString(core::routeChip(chipB, serialConfig()));
+      core::solutionToString(core::routeChip(chipB, core::pacorDefaultConfig()));
 
-  serve::Server server(/*jobs=*/2);
+  serve::Server server;
   serve::RequestOptions options;
   // Two rounds per design: the second request reuses the cached context
-  // (obstacle template) and the warm worker pool.
+  // (obstacle template and escape session).
   for (int round = 0; round < 2; ++round) {
     SCOPED_TRACE(round);
     const serve::Response a = server.route("A", chipA, options);
@@ -135,9 +129,9 @@ TEST(ServeIdentity, ConcurrentRequestsMatchOneShot) {
   };
   std::vector<std::string> oneShot;
   for (const chip::Chip& c : chips)
-    oneShot.push_back(core::solutionToString(core::routeChip(c, serialConfig())));
+    oneShot.push_back(core::solutionToString(core::routeChip(c, core::pacorDefaultConfig())));
 
-  serve::Server server(/*jobs=*/2);
+  serve::Server server;
   constexpr int kThreads = 4;
   constexpr int kRequestsPerThread = 3;
   std::vector<serve::Response> responses(kThreads * kRequestsPerThread);
@@ -166,7 +160,7 @@ TEST(ServeTrace, ConcurrentTracedRequestsBothRecord) {
   const chip::Chip chipA = chip::generateChip(chip::s2Params());
   const chip::Chip chipB = chip::generateChip(chip::s3Params());
 
-  serve::Server server(/*jobs=*/2);
+  serve::Server server;
   serve::RequestOptions optionsA;
   optionsA.tracePath = testing::TempDir() + "serve_trace_a.json";
   serve::RequestOptions optionsB;
@@ -217,9 +211,9 @@ geom::Point freeCellOf(const chip::Chip& c, const core::PacorResult& r) {
 TEST(ServeSession, WarmEscapeSessionIsByteIdenticalToCold) {
   const chip::Chip chip = chip::generateChip(chip::s3Params());
   const std::string oneShot =
-      core::solutionToString(core::routeChip(chip, serialConfig()));
+      core::solutionToString(core::routeChip(chip, core::pacorDefaultConfig()));
 
-  serve::Server server(/*jobs=*/1);
+  serve::Server server;
   serve::RequestOptions options;
   options.metricsPath = testing::TempDir() + "serve_warm_metrics.json";
   const serve::Response cold = server.route("W", chip, options);
@@ -245,10 +239,10 @@ TEST(ServeSession, WarmEscapeSessionIsByteIdenticalToCold) {
 
 TEST(ServeEco, EcoRequestAdvancesTheDesign) {
   const chip::Chip base = chip::generateChip(chip::s2Params());
-  const core::PacorResult oneShot = core::routeChip(base, serialConfig());
+  const core::PacorResult oneShot = core::routeChip(base, core::pacorDefaultConfig());
   ASSERT_TRUE(oneShot.complete);
 
-  serve::Server server(/*jobs=*/2);
+  serve::Server server;
   const std::shared_ptr<serve::DesignContext> ctx =
       server.context("E", [&] { return base; });
   const serve::Response before = server.route(*ctx, serve::RequestOptions{});
@@ -268,18 +262,18 @@ TEST(ServeEco, EcoRequestAdvancesTheDesign) {
   const serve::Response after = server.route(*ctx, serve::RequestOptions{});
   ASSERT_TRUE(after.ok) << after.error;
   EXPECT_EQ(after.solutionText,
-            core::solutionToString(core::routeChip(edited, serialConfig())));
+            core::solutionToString(core::routeChip(edited, core::pacorDefaultConfig())));
 }
 
 TEST(ServeEco, ConcurrentRouteAndEcoStayConsistent) {
   const chip::Chip base = chip::generateChip(chip::s2Params());
-  const core::PacorResult oneShot = core::routeChip(base, serialConfig());
+  const core::PacorResult oneShot = core::routeChip(base, core::pacorDefaultConfig());
   ASSERT_TRUE(oneShot.complete);
   chip::ChipDelta d;
   d.addObstacle(freeCellOf(base, oneShot));
   const chip::Chip edited = chip::apply(base, d);
 
-  serve::Server server(/*jobs=*/2);
+  serve::Server server;
   const std::shared_ptr<serve::DesignContext> ctx =
       server.context("C", [&] { return base; });
 
@@ -287,7 +281,7 @@ TEST(ServeEco, ConcurrentRouteAndEcoStayConsistent) {
   // whichever design state its request observed.
   const std::string baseText = core::solutionToString(oneShot);
   const std::string editedText =
-      core::solutionToString(core::routeChip(edited, serialConfig()));
+      core::solutionToString(core::routeChip(edited, core::pacorDefaultConfig()));
   constexpr int kRouteThreads = 3;
   std::vector<serve::Response> routed(kRouteThreads * 2);
   serve::Response ecoResp;
@@ -318,10 +312,10 @@ TEST(ServeEco, AbandonedEcoDoesNotCommitTheDelta) {
   // not happen and may retry the same delta. A committed abandoned eco
   // plus a retry would double-apply the edit.
   const chip::Chip base = chip::generateChip(chip::s2Params());
-  const core::PacorResult oneShot = core::routeChip(base, serialConfig());
+  const core::PacorResult oneShot = core::routeChip(base, core::pacorDefaultConfig());
   ASSERT_TRUE(oneShot.complete);
 
-  serve::Server server(/*jobs=*/2);
+  serve::Server server;
   const std::shared_ptr<serve::DesignContext> ctx =
       server.context("A", [&] { return base; });
   const serve::Response before = server.route(*ctx, serve::RequestOptions{});
@@ -348,7 +342,7 @@ TEST(ServeEco, AbandonedEcoDoesNotCommitTheDelta) {
   ASSERT_TRUE(edited.ok) << edited.error;
   EXPECT_EQ(edited.solutionText,
             core::solutionToString(
-                core::routeChip(chip::apply(base, d), serialConfig())));
+                core::routeChip(chip::apply(base, d), core::pacorDefaultConfig())));
 }
 
 TEST(ServeCancel, AbandonedRequestWritesNoSideFiles) {
@@ -356,7 +350,7 @@ TEST(ServeCancel, AbandonedRequestWritesNoSideFiles) {
   // error; its discarded execution must not write sol=/metrics= files
   // that could clobber the output of a retry racing it.
   const chip::Chip base = chip::generateChip(chip::s1Params());
-  serve::Server server(/*jobs=*/2);
+  serve::Server server;
   const std::shared_ptr<serve::DesignContext> ctx =
       server.context("F", [&] { return base; });
 
@@ -380,7 +374,7 @@ TEST(ServeCancel, AbandonedRequestWritesNoSideFiles) {
 
 TEST(ServeBatch, EcoVerbRoutesAndReportsMode) {
   const chip::Chip s1 = chip::generateChip(chip::s1Params());
-  const core::PacorResult oneShot = core::routeChip(s1, serialConfig());
+  const core::PacorResult oneShot = core::routeChip(s1, core::pacorDefaultConfig());
   ASSERT_TRUE(oneShot.complete);
   chip::ChipDelta d;
   d.addObstacle(freeCellOf(s1, oneShot));
@@ -408,7 +402,7 @@ TEST(ServeBatch, EcoVerbRoutesAndReportsMode) {
 TEST(ServeBatch, ManifestRoutesInOrderAndReportsHashes) {
   const chip::Chip s1 = chip::generateChip(chip::s1Params());
   const std::string hash =
-      util::sha256Hex(core::solutionToString(core::routeChip(s1, serialConfig())));
+      util::sha256Hex(core::solutionToString(core::routeChip(s1, core::pacorDefaultConfig())));
 
   std::istringstream manifest(
       "# comment and blank lines are skipped\n"
@@ -418,7 +412,6 @@ TEST(ServeBatch, ManifestRoutesInOrderAndReportsHashes) {
       "no-such-design\n");
   std::ostringstream out;
   serve::BatchOptions options;
-  options.jobs = 2;
   options.concurrency = 2;
   const int failed = serve::runBatch(manifest, out, options);
   EXPECT_EQ(failed, 1);  // the unknown design, and nothing else

@@ -1,7 +1,7 @@
 // Tests for the tracing + metrics subsystem (src/trace): registry
 // semantics, zero-emission when disabled, span coverage of the five
-// pipeline stages, laminar per-thread nesting of parallel traces with
-// unchanged routed output, and the Chrome trace_event JSON shape.
+// pipeline stages, laminar nesting of search-level traces with unchanged
+// routed output, and the Chrome trace_event JSON shape.
 
 #include <gtest/gtest.h>
 
@@ -137,50 +137,39 @@ TEST(Trace, SerialRunCoversAllFiveStages) {
   }
 }
 
-TEST(Trace, ParallelSearchTraceIsLaminarAndOutputUnchanged) {
+TEST(Trace, SearchTraceIsLaminarAndOutputUnchanged) {
   const chip::Chip chip = makeChip();
+  const auto untraced = core::routeChip(chip);
 
-  core::PacorConfig serialCfg = core::pacorDefaultConfig();
-  serialCfg.jobs = 1;
   trace::beginSession(trace::Level::kSearch);
-  const auto serial = core::routeChip(chip, serialCfg);
-  const auto serialEvents = trace::endSession();
-
-  core::PacorConfig parallelCfg = serialCfg;
-  parallelCfg.jobs = 4;
-  trace::beginSession(trace::Level::kSearch);
-  const auto parallel = core::routeChip(chip, parallelCfg);
-  const auto parallelEvents = trace::endSession();
+  const auto traced = core::routeChip(chip);
+  const auto events = trace::endSession();
 
   // Tracing at search granularity must not perturb the routed result.
-  EXPECT_EQ(core::solutionToString(serial), core::solutionToString(parallel));
+  EXPECT_EQ(core::solutionToString(traced), core::solutionToString(untraced));
 
   // kSearch adds per-search spans on top of the stage spans.
-  EXPECT_GT(parallelEvents.size(), 6u);
-  EXPECT_TRUE(contains(names(parallelEvents), "route.astar"));
+  EXPECT_GT(events.size(), 6u);
+  EXPECT_TRUE(contains(names(events), "route.astar"));
 
-  // Per thread, spans are laminar: any two either nest or are disjoint.
-  std::map<int, std::vector<const trace::Event*>> byTid;
-  for (const trace::Event& e : parallelEvents) byTid[e.tid].push_back(&e);
-  for (const auto& [tid, evs] : byTid) {
-    for (std::size_t i = 0; i < evs.size(); ++i)
-      for (std::size_t j = i + 1; j < evs.size(); ++j) {
-        const auto aS = evs[i]->startNs, aE = aS + evs[i]->durNs;
-        const auto bS = evs[j]->startNs, bE = bS + evs[j]->durNs;
-        const bool disjoint = aE <= bS || bE <= aS;
-        const bool nested = (aS <= bS && bE <= aE) || (bS <= aS && aE <= bE);
-        EXPECT_TRUE(disjoint || nested)
-            << "tid " << tid << ": " << evs[i]->name << " [" << aS << "," << aE
-            << ") overlaps " << evs[j]->name << " [" << bS << "," << bE << ")";
-      }
-  }
+  // A route runs on one thread, so the whole trace carries one tid.
+  for (const trace::Event& e : events) EXPECT_EQ(e.tid, 0) << e.name;
+
+  // Spans are laminar: any two either nest or are disjoint.
+  for (std::size_t i = 0; i < events.size(); ++i)
+    for (std::size_t j = i + 1; j < events.size(); ++j) {
+      const auto aS = events[i].startNs, aE = aS + events[i].durNs;
+      const auto bS = events[j].startNs, bE = bS + events[j].durNs;
+      const bool disjoint = aE <= bS || bE <= aS;
+      const bool nested = (aS <= bS && bE <= aE) || (bS <= aS && aE <= bE);
+      EXPECT_TRUE(disjoint || nested)
+          << events[i].name << " [" << aS << "," << aE << ") overlaps "
+          << events[j].name << " [" << bS << "," << bE << ")";
+    }
 
   // The merge is sorted by start time.
-  for (std::size_t i = 1; i < parallelEvents.size(); ++i)
-    EXPECT_LE(parallelEvents[i - 1].startNs, parallelEvents[i].startNs);
-
-  // Serial trace has exactly one tid.
-  for (const trace::Event& e : serialEvents) EXPECT_EQ(e.tid, 0);
+  for (std::size_t i = 1; i < events.size(); ++i)
+    EXPECT_LE(events[i - 1].startNs, events[i].startNs);
 }
 
 TEST(Trace, SessionHandleCollectsItsOwnEvents) {
@@ -275,7 +264,7 @@ TEST(Trace, ResultMetricsCoverThePipeline) {
   const auto result = core::routeChip(makeChip(), core::pacorDefaultConfig());
   const trace::MetricsRegistry& m = result.metrics;
   for (const char* key :
-       {"config.jobs", "pipeline.complete", "clusters.total", "clusters.matched",
+       {"pipeline.complete", "clusters.total", "clusters.matched",
         "length.total", "lm.candidates_built", "escape.rounds", "escape.splits",
         "detour.reroutes", "detour.iterations", "detour.restores",
         "search.cluster_routing.searches", "search.escape.expansions",

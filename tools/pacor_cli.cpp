@@ -53,16 +53,9 @@ int usage() {
       "  pacor synth <in.synth> <out.chip>\n"
       "  pacor info <in.chip>\n"
       "  pacor route <in.chip> <out.sol> [--variant=pacor|wosel|detour-first]\n"
-      "              [--jobs=N]   (N worker threads; 0 = all cores; same result)\n"
       "              [--trace=out.json]   (Chrome trace_event timeline of the run)\n"
       "              [--trace-level=stage|cluster|search]   (default cluster)\n"
       "              [--metrics=out.json]   (every pipeline counter of the run)\n"
-      "              [--no-incremental-escape]   (rebuild the escape flow\n"
-      "               network every rip-up round instead of warm-restarting\n"
-      "               one persistent session; same result, more work)\n"
-      "              [--fast-escape]   (multi-augmenting escape-flow solver:\n"
-      "               same routed count and escape cost, but equal-cost ties\n"
-      "               may pick different paths -- validate with `pacor verify`)\n"
       "              [--eco=DELTA]   (ECO mode: route <in.chip>, apply the edit\n"
       "               script DELTA, then incrementally re-route only the\n"
       "               affected clusters; <out.sol> holds the edited chip's\n"
@@ -73,17 +66,17 @@ int usage() {
       "              minimal edit script turning A into B (stdout when no\n"
       "              output file is given); feed it back via route --eco or\n"
       "              the serve eco verb\n"
-      "  pacor serve [--batch=FILE] [--jobs=N] [--concurrency=N]\n"
+      "  pacor serve [--batch=FILE] [--concurrency=N]\n"
       "              [--deadline-ms=D] [--max-designs=N]\n"
       "              long-lived request loop: routes one request per manifest\n"
       "              line (from FILE, or stdin when --batch is omitted or '-'),\n"
-      "              reusing one worker pool and per-design contexts across\n"
-      "              requests. Line: <design|file.chip> [sol=P] [metrics=P]\n"
-      "              [trace=P] [trace-level=L] [variant=V] [no-incremental-escape]\n"
-      "              [fast-escape] [deadline_ms=D], `eco <design> delta=FILE\n"
+      "              reusing per-design contexts across requests; each\n"
+      "              request runs on one thread. Line: <design|file.chip>\n"
+      "              [sol=P] [metrics=P] [trace=P] [trace-level=L] [variant=V]\n"
+      "              [deadline_ms=D], `eco <design> delta=FILE\n"
       "              [options]` to advance a cached design through an edit\n"
       "              script, or `gen <design>` to pre-warm a design context\n"
-      "  pacor serve --listen=HOST:PORT [--jobs=N] [--max-inflight=N]\n"
+      "  pacor serve --listen=HOST:PORT [--max-inflight=N]\n"
       "              [--max-queue=N] [--deadline-ms=D] [--max-designs=N]\n"
       "              TCP front end speaking the same request lines, length-\n"
       "              framed (4-byte big-endian length + line). Per-design FIFO\n"
@@ -152,11 +145,8 @@ int cmdInfo(int argc, char** argv) {
 }
 
 int cmdRoute(int argc, char** argv) {
-  if (argc < 2 || argc > 11) return usage();
+  if (argc < 2 || argc > 8) return usage();
   core::PacorConfig cfg = core::pacorDefaultConfig();
-  int jobs = 1;
-  bool incrementalEscape = true;
-  bool fastEscape = false;
   std::string tracePath;
   std::string metricsPath;
   std::string ecoDeltaPath;
@@ -169,13 +159,6 @@ int cmdRoute(int argc, char** argv) {
       cfg = core::withoutSelectionConfig();
     } else if (v == "--variant=detour-first") {
       cfg = core::detourFirstConfig();
-    } else if (v.rfind("--jobs=", 0) == 0) {
-      try {
-        jobs = std::stoi(v.substr(7));
-      } catch (const std::exception&) {
-        return usage();
-      }
-      if (jobs < 0) return usage();
     } else if (v.rfind("--trace=", 0) == 0) {
       tracePath = v.substr(8);
       if (tracePath.empty()) return usage();
@@ -186,11 +169,6 @@ int cmdRoute(int argc, char** argv) {
     } else if (v.rfind("--metrics=", 0) == 0) {
       metricsPath = v.substr(10);
       if (metricsPath.empty()) return usage();
-    } else if (v == "--no-incremental-escape") {
-      incrementalEscape = false;  // applied after the loop: --variant=
-                                  // resets cfg wholesale
-    } else if (v == "--fast-escape") {
-      fastEscape = true;
     } else if (v.rfind("--eco=", 0) == 0) {
       ecoDeltaPath = v.substr(6);
       if (ecoDeltaPath.empty()) return usage();
@@ -202,9 +180,6 @@ int cmdRoute(int argc, char** argv) {
     }
   }
   if (!ecoFromPath.empty() && ecoDeltaPath.empty()) return usage();
-  cfg.jobs = jobs;
-  cfg.incrementalEscape = incrementalEscape;
-  cfg.fastEscape = fastEscape;
   const chip::Chip c = chip::readChipFile(argv[0]);
   if (!tracePath.empty()) trace::beginSession(traceLevel);
   core::PacorResult result;
@@ -279,9 +254,6 @@ int cmdServe(int argc, char** argv) {
       } else if (v.rfind("--listen=", 0) == 0) {
         listen = v.substr(9);
         if (listen.empty()) return usage();
-      } else if (v.rfind("--jobs=", 0) == 0) {
-        opt.jobs = std::stoi(v.substr(7));
-        if (opt.jobs < 0) return usage();
       } else if (v.rfind("--concurrency=", 0) == 0) {
         opt.concurrency = std::stoi(v.substr(14));
         if (opt.concurrency < 1) return usage();
@@ -321,7 +293,6 @@ int cmdServe(int argc, char** argv) {
     const int port = std::stoi(listen.substr(colon + 1));
     if (netOpt.host.empty() || port < 0 || port > 65535) return usage();
     netOpt.port = static_cast<std::uint16_t>(port);
-    netOpt.jobs = opt.jobs;
     return serve::net::serveForever(netOpt);
   }
   if (batchPath == "-") return serve::runBatch(std::cin, std::cout, opt) == 0 ? 0 : 1;

@@ -2,27 +2,25 @@
 //
 // Drives chip::generateChip(chip::randomParams(seed)) through seeded
 // random designs (die size, valve/cluster mix, obstacle density, delta
-// all vary), runs the full pipeline under serial and parallel configs and
-// a rotating flow variant, and asserts four properties per design:
+// all vary), runs the full pipeline under a rotating flow variant, and
+// asserts these properties per design:
 //
 //   (a) the independent oracle (src/verify) accepts every produced
 //       solution of a run that claims completion,
-//   (b) serial and --jobs=N output are byte-identical (canonical
-//       solution text),
 //   (c) the oracle and the router-side DRC agree on clean/dirty -- a
 //       disagreement is a bug in one of the two checkers,
-//   (d) the incremental escape-flow session is invisible in the output:
-//       a --no-incremental-escape run (flow network rebuilt from scratch
-//       every rip-up round) is byte-identical to the warm-restart run,
+//   (d) the escape-flow session equals the from-scratch escapeRoute()
+//       reference: stages 1-3 run once, then two escape rounds run on two
+//       copies of the result, one through an EscapeFlowSession and one
+//       through escapeRoute(). The second round is a warm session round
+//       after the same rip-up on both copies (every escape path and pin,
+//       plus one multi-valve cluster's tree). Every round must agree on
+//       the requested/routed counts, the flow cost, and each cluster's
+//       pin and escape path,
 //   (e) the long-lived serve loop is invisible too: routing the design
-//       through one shared serve::Server (shared pool, reused workspaces
-//       and obstacle templates across all previous seeds' requests) is
-//       byte-identical to the independent one-shot run,
-//   (f) a --fast-escape run (multi-augmenting escape-flow solver) that
-//       claims completion is oracle-clean, and its first escape pass --
-//       the only pass where both solvers see the identical flow network,
-//       before committed paths diverge -- reaches the same lexicographic
-//       (routed count, flow cost) optimum as the classic run,
+//       through one shared serve::Server (reused workspaces and obstacle
+//       templates across all previous seeds' requests) is byte-identical
+//       to the independent one-shot run,
 //   (g) ECO differential: a seeded random edit script (1-8 edits -- valve
 //       moves/adds/removes, obstacle adds/removes, cluster flips) is
 //       applied one delta at a time, chaining each rerouteChip() result
@@ -32,24 +30,25 @@
 //       edited chip, and every cluster an incremental answer carries must
 //       be byte-equal to a cluster of the previous step's solution under
 //       the delta's valve renumbering,
-//   (h) FPVA valve arrays (every eighth seed) hold the same invariants,
+//   (h) FPVA valve arrays (every eighth seed) are oracle-clean when they
+//       claim completion,
 //   (i) serve protocol round trip: random valid request lines re-parse to
 //       the same canonical text (format(parse(x)) == x), and arbitrary
 //       byte soup never crashes parseRequestLine / parseResponseLine --
 //       the exact property the socket front end relies on.
 //
-// Any failure dumps a repro (<dump>/fuzz_<seed>.chip + .sol [+ .par.sol];
-// eco failures dump <dump>/eco_<seed>.chip + .delta + .sol) with the seed
+// Any failure dumps a repro (<dump>/fuzz_<seed>.chip + .sol; eco failures
+// dump <dump>/eco_<seed>.chip + .delta + .sol) with the seed
 // in the name; checker disagreements are first minimized by greedily
 // deleting clusters, eco failures by greedily deleting delta ops, while
 // the failure persists.
 //
-//   pacor_fuzz [--designs=N] [--seed=S] [--jobs=J] [--dump=DIR] [--verbose]
+//   pacor_fuzz [--designs=N] [--seed=S] [--dump=DIR] [--verbose]
 //              [--trace=FILE]
 //
-// --trace=FILE records the first design's serial+parallel runs at search
-// granularity and writes one Chrome trace_event file, exercising the
-// tracing subsystem under the same build (e.g. ASan in CI).
+// --trace=FILE records the first design's runs at search granularity and
+// writes one Chrome trace_event file, exercising the tracing subsystem
+// under the same build (e.g. ASan in CI).
 //
 // Exit code 0 when every design passed, 1 otherwise, 2 on usage errors.
 
@@ -67,8 +66,12 @@
 #include "chip/delta.hpp"
 #include "chip/generator.hpp"
 #include "chip/io.hpp"
+#include "pacor/cluster_routing.hpp"
+#include "pacor/clustering.hpp"
 #include "pacor/drc.hpp"
 #include "pacor/eco.hpp"
+#include "pacor/escape.hpp"
+#include "pacor/mst_routing.hpp"
 #include "pacor/pipeline.hpp"
 #include "pacor/solution_io.hpp"
 #include "serve/serve.hpp"
@@ -82,14 +85,13 @@ using namespace pacor;
 struct Options {
   std::uint32_t designs = 200;
   std::uint32_t seed = 1;
-  int jobs = 4;
   std::string dumpDir = "fuzz-repros";
   std::string tracePath;
   bool verbose = false;
 };
 
 int usage() {
-  std::cerr << "usage: pacor_fuzz [--designs=N] [--seed=S] [--jobs=J] "
+  std::cerr << "usage: pacor_fuzz [--designs=N] [--seed=S] "
                "[--dump=DIR] [--trace=FILE] [--verbose]\n";
   return 2;
 }
@@ -105,7 +107,6 @@ bool parseOptions(int argc, char** argv, Options& opt) {
     try {
       if (arg.rfind("--designs=", 0) == 0) intValue("--designs=", opt.designs);
       else if (arg.rfind("--seed=", 0) == 0) intValue("--seed=", opt.seed);
-      else if (arg.rfind("--jobs=", 0) == 0) intValue("--jobs=", opt.jobs);
       else if (arg.rfind("--dump=", 0) == 0) opt.dumpDir = arg.substr(7);
       else if (arg.rfind("--trace=", 0) == 0) opt.tracePath = arg.substr(8);
       else if (arg == "--verbose") opt.verbose = true;
@@ -114,7 +115,7 @@ bool parseOptions(int argc, char** argv, Options& opt) {
       return false;
     }
   }
-  return opt.jobs >= 0;
+  return true;
 }
 
 /// The per-design pass/fail record the summary aggregates.
@@ -123,6 +124,8 @@ struct Tally {
   std::uint32_t complete = 0;
   std::uint32_t failures = 0;
   std::uint64_t clusters = 0;
+  // Property (d): warm escape-session rounds checked against escapeRoute().
+  std::uint32_t warmEscapeRounds = 0;
   // Property (g) eco-step mode counts -- the summary proves the sweep
   // exercised all three rerouteChip answers, not just identity.
   std::uint32_t ecoIdentity = 0;
@@ -169,8 +172,6 @@ serve::Request randomRequest(std::mt19937& rng) {
       serve::Variant::kPacor, serve::Variant::kWosel,
       serve::Variant::kDetourFirst};
   req.variant = kVariants[rng() % 3];
-  req.incrementalEscape = rng() % 2 == 0;
-  req.fastEscape = rng() % 4 == 0;
   if (rng() % 3 == 0)
     req.deadlineMs = 1 + static_cast<std::int64_t>(
                              rng() % static_cast<std::uint64_t>(
@@ -187,14 +188,12 @@ core::PacorConfig configForSeed(std::uint32_t seed) {
 }
 
 void dumpRepro(const Options& opt, std::uint32_t seed, const chip::Chip& chip,
-               const core::PacorResult& serial, const core::PacorResult* parallel) {
+               const core::PacorResult& result) {
   std::filesystem::create_directories(opt.dumpDir);
   const std::string stem = opt.dumpDir + "/fuzz_" + std::to_string(seed);
   chip::writeChipFile(stem + ".chip", chip);
-  core::writeSolutionFile(stem + ".sol", serial);
-  if (parallel) core::writeSolutionFile(stem + ".par.sol", *parallel);
-  std::cerr << "  repro dumped: " << stem << ".chip / .sol"
-            << (parallel ? " / .par.sol" : "") << "  (seed " << seed
+  core::writeSolutionFile(stem + ".sol", result);
+  std::cerr << "  repro dumped: " << stem << ".chip / .sol  (seed " << seed
             << "; re-check with `pacor verify " << stem << ".chip " << stem
             << ".sol`)\n";
 }
@@ -222,6 +221,116 @@ core::PacorResult minimizeDisagreement(const chip::Chip& chip,
     }
   }
   return result;
+}
+
+// --------------------------------------------------------------------------
+// Property (d): escape-flow session vs the from-scratch escapeRoute().
+
+/// Stages 1-3 of routeChip (clustering, LM cluster routing, MST routing)
+/// on a fresh obstacle map, ready for the escape stage.
+std::vector<core::WorkCluster> routeToEscape(const chip::Chip& chip,
+                                             const core::PacorConfig& cfg,
+                                             grid::ObstacleMap& obstacles) {
+  grid::NetId nextNet = 0;
+  std::vector<core::WorkCluster> clusters;
+  for (core::ClusterSpec& spec : core::clusterValves(chip)) {
+    core::WorkCluster wc;
+    wc.spec = std::move(spec);
+    wc.net = nextNet++;
+    for (const chip::ValveId v : wc.spec.valves) {
+      const geom::Point cell = chip.valve(v).pos;
+      obstacles.occupy(std::span<const geom::Point>(&cell, 1), wc.net);
+    }
+    clusters.push_back(std::move(wc));
+  }
+  std::vector<core::WorkCluster*> lm;
+  for (core::WorkCluster& wc : clusters)
+    if (wc.wantsMatching() && wc.spec.valves.size() >= 2 && !wc.internallyRouted)
+      lm.push_back(&wc);
+  core::routeLengthMatchingClusters(chip, cfg, obstacles, lm);
+  return core::routeClustersStage(chip, obstacles, std::move(clusters),
+                                  [&nextNet] { return nextNet++; });
+}
+
+/// The rip-up between the two replay rounds: every escape path and pin is
+/// released, and so is the tree of cluster `victim` (when in range), which
+/// leaves that cluster unrouted and out of the next round.
+void ripUpForReplay(grid::ObstacleMap& obstacles, std::vector<core::WorkCluster>& clusters,
+                    const chip::Chip& chip, std::size_t victim) {
+  for (core::WorkCluster& wc : clusters) {
+    if (wc.escapePath.size() > 1)
+      obstacles.releasePath(std::span<const geom::Point>(wc.escapePath.data() + 1,
+                                                         wc.escapePath.size() - 1),
+                            wc.net);
+    wc.escapePath.clear();
+    wc.pin = -1;
+  }
+  if (victim >= clusters.size()) return;
+  core::WorkCluster& wc = clusters[victim];
+  obstacles.release(wc.net);
+  for (const chip::ValveId v : wc.spec.valves) {
+    const geom::Point cell = chip.valve(v).pos;
+    obstacles.occupy(std::span<const geom::Point>(&cell, 1), wc.net);
+  }
+  wc.internallyRouted = false;
+  wc.treePaths.clear();
+  wc.tapCells.clear();
+}
+
+std::vector<core::WorkCluster*> pointersTo(std::vector<core::WorkCluster>& clusters) {
+  std::vector<core::WorkCluster*> ptrs;
+  for (core::WorkCluster& wc : clusters) ptrs.push_back(&wc);
+  return ptrs;
+}
+
+/// Property (d) verdict; empty == pass. `warmRounds` receives the number
+/// of warm session rounds the replay checked.
+std::string escapeReplayFailure(const chip::Chip& chip, const core::PacorConfig& cfg,
+                                std::uint32_t seed, int& warmRounds) {
+  grid::ObstacleMap sessionMap = core::makeRoutingObstacleTemplate(chip);
+  std::vector<core::WorkCluster> sessionClusters = routeToEscape(chip, cfg, sessionMap);
+  grid::ObstacleMap scratchMap = sessionMap;
+  std::vector<core::WorkCluster> scratchClusters = sessionClusters;
+
+  std::vector<std::size_t> multiValve;
+  for (std::size_t i = 0; i < sessionClusters.size(); ++i)
+    if (sessionClusters[i].spec.valves.size() >= 2 && sessionClusters[i].internallyRouted)
+      multiValve.push_back(i);
+  const std::size_t victim =
+      multiValve.empty() ? sessionClusters.size() : multiValve[seed % multiValve.size()];
+
+  core::EscapeFlowSession session(chip, sessionMap);
+  for (int round = 1; round <= 2; ++round) {
+    if (round == 2) {
+      ripUpForReplay(sessionMap, sessionClusters, chip, victim);
+      ripUpForReplay(scratchMap, scratchClusters, chip, victim);
+    }
+    std::vector<core::WorkCluster*> sessionPtrs = pointersTo(sessionClusters);
+    std::vector<core::WorkCluster*> scratchPtrs = pointersTo(scratchClusters);
+    const core::EscapeOutcome warm = session.route(sessionPtrs);
+    const core::EscapeOutcome cold = core::escapeRoute(chip, scratchMap, scratchPtrs);
+    std::ostringstream why;
+    why << "escape round " << round << ": ";
+    if (warm.requested != cold.requested || warm.routedCount != cold.routedCount ||
+        warm.flowCost != cold.flowCost || warm.failed != cold.failed) {
+      why << "session requested/routed/cost " << warm.requested << "/"
+          << warm.routedCount << "/" << warm.flowCost << " vs escapeRoute "
+          << cold.requested << "/" << cold.routedCount << "/" << cold.flowCost;
+      return why.str();
+    }
+    for (std::size_t i = 0; i < sessionClusters.size(); ++i)
+      if (sessionClusters[i].pin != scratchClusters[i].pin ||
+          sessionClusters[i].escapePath != scratchClusters[i].escapePath) {
+        why << "cluster " << i << " escapes to pin " << sessionClusters[i].pin
+            << " via the session but to pin " << scratchClusters[i].pin
+            << " via escapeRoute (or along a different path)";
+        return why.str();
+      }
+    if (round == 2 && warm.requested > 0 && session.stats().warmRounds == 0)
+      return "escape round 2 was not a warm session round";
+  }
+  warmRounds = session.stats().warmRounds;
+  return "";
 }
 
 // --------------------------------------------------------------------------
@@ -432,112 +541,66 @@ bool runDesign(const Options& opt, serve::Server& server, std::uint32_t seed,
   const chip::GeneratorParams params = chip::randomParams(seed);
   const chip::Chip chip = chip::generateChip(params);
 
-  core::PacorConfig serialCfg = configForSeed(seed);
-  serialCfg.jobs = 1;
-  core::PacorConfig parallelCfg = serialCfg;
-  parallelCfg.jobs = opt.jobs;
-
-  const core::PacorResult serial = core::routeChip(chip, serialCfg);
-  const core::PacorResult parallel = core::routeChip(chip, parallelCfg);
+  const core::PacorConfig cfg = configForSeed(seed);
+  const core::PacorResult result = core::routeChip(chip, cfg);
   ++tally.designs;
-  tally.complete += serial.complete ? 1 : 0;
-  tally.clusters += serial.clusters.size();
+  tally.complete += result.complete ? 1 : 0;
+  tally.clusters += result.clusters.size();
 
   bool ok = true;
 
-  // (b) byte-identical serial vs parallel canonical text.
-  const std::string serialText = core::solutionToString(serial);
-  if (const std::string parallelText = core::solutionToString(parallel);
-      serialText != parallelText) {
-    std::cerr << "FAIL seed " << seed << ": serial and --jobs=" << opt.jobs
-              << " solutions differ (" << serialText.size() << " vs "
-              << parallelText.size() << " bytes)\n";
-    dumpRepro(opt, seed, chip, serial, &parallel);
-    ok = false;
-  }
-
   // (a) oracle-clean completed solutions, and the round-tripped text
   // re-verifies the same way (covers solution_io on every design).
-  const verify::OracleReport oracle = verify::verifySolution(chip, serial);
-  if (serial.complete && !oracle.clean()) {
+  const std::string resultText = core::solutionToString(result);
+  const verify::OracleReport oracle = verify::verifySolution(chip, result);
+  if (result.complete && !oracle.clean()) {
     std::cerr << "FAIL seed " << seed << ": pipeline claims completion but the "
               << "oracle found violations:\n" << oracle.str();
-    dumpRepro(opt, seed, chip, serial, nullptr);
+    dumpRepro(opt, seed, chip, result);
     ok = false;
   }
-  const core::PacorResult reparsed = core::solutionFromString(serialText);
+  const core::PacorResult reparsed = core::solutionFromString(resultText);
   if (verify::verifySolution(chip, reparsed).clean() != oracle.clean()) {
     std::cerr << "FAIL seed " << seed
               << ": oracle verdict changed across a solution_io round trip\n";
-    dumpRepro(opt, seed, chip, serial, nullptr);
+    dumpRepro(opt, seed, chip, result);
     ok = false;
   }
 
-  // (d) incremental-escape runs stay byte-identical to from-scratch runs.
-  core::PacorConfig scratchCfg = serialCfg;
-  scratchCfg.incrementalEscape = !serialCfg.incrementalEscape;
-  const core::PacorResult scratch = core::routeChip(chip, scratchCfg);
-  if (const std::string scratchText = core::solutionToString(scratch);
-      scratchText != serialText) {
-    std::cerr << "FAIL seed " << seed << ": incrementalEscape="
-              << serialCfg.incrementalEscape << " and its inverse produce "
-              << "different solutions (" << serialText.size() << " vs "
-              << scratchText.size() << " bytes)\n";
-    dumpRepro(opt, seed, chip, serial, &scratch);
+  // (d) the escape-flow session replays equal to escapeRoute().
+  int warmRounds = 0;
+  if (const std::string fail = escapeReplayFailure(chip, cfg, seed, warmRounds);
+      !fail.empty()) {
+    std::cerr << "FAIL seed " << seed << ": " << fail << '\n';
+    dumpRepro(opt, seed, chip, result);
     ok = false;
   }
+  tally.warmEscapeRounds += static_cast<std::uint32_t>(warmRounds);
 
   // (e) N requests through one long-lived server == N independent runs.
   // The server is shared across all seeds, so every request after the
-  // first exercises reused worker threads and a warm request loop.
+  // first exercises reused workspaces and a warm request loop.
   serve::RequestOptions request;
-  request.config = serialCfg;
+  request.config = cfg;
   const serve::Response served =
       server.route("fuzz_" + std::to_string(seed), chip, request);
-  if (!served.ok || served.solutionText != serialText) {
+  if (!served.ok || served.solutionText != resultText) {
     std::cerr << "FAIL seed " << seed << ": serve::Server output differs from "
               << "the independent one-shot run ("
               << (served.ok ? "different bytes" : "error: " + served.error)
               << ")\n";
-    dumpRepro(opt, seed, chip, serial, nullptr);
-    ok = false;
-  }
-
-  // (f) fast-escape completions are oracle-clean and first-pass
-  // cost-equal to the classic solver.
-  core::PacorConfig fastCfg = serialCfg;
-  fastCfg.fastEscape = true;
-  const core::PacorResult fast = core::routeChip(chip, fastCfg);
-  if (fast.complete && !verify::verifySolution(chip, fast).clean()) {
-    std::cerr << "FAIL seed " << seed << ": --fast-escape run claims "
-              << "completion but the oracle found violations:\n"
-              << verify::verifySolution(chip, fast).str();
-    dumpRepro(opt, seed, chip, fast, nullptr);
-    ok = false;
-  }
-  if (fast.metrics.getInt("escape.flow.first_routed", -1) !=
-          serial.metrics.getInt("escape.flow.first_routed", -1) ||
-      fast.metrics.getInt("escape.flow.first_cost", -1) !=
-          serial.metrics.getInt("escape.flow.first_cost", -1)) {
-    std::cerr << "FAIL seed " << seed << ": --fast-escape first escape pass "
-              << "optimum differs from the classic solver (routed "
-              << fast.metrics.getInt("escape.flow.first_routed", -1) << " vs "
-              << serial.metrics.getInt("escape.flow.first_routed", -1)
-              << ", cost " << fast.metrics.getInt("escape.flow.first_cost", -1)
-              << " vs " << serial.metrics.getInt("escape.flow.first_cost", -1)
-              << ")\n";
-    dumpRepro(opt, seed, chip, fast, nullptr);
+    dumpRepro(opt, seed, chip, result);
     ok = false;
   }
 
   // (c) oracle / DRC agreement on clean-vs-dirty.
-  if (checkersDisagree(chip, serial)) {
-    const core::PacorResult minimized = minimizeDisagreement(chip, serial);
+  if (checkersDisagree(chip, result)) {
+    const core::PacorResult minimized = minimizeDisagreement(chip, result);
     std::cerr << "FAIL seed " << seed << ": oracle and DRC disagree (minimized to "
               << minimized.clusters.size() << " cluster(s))\n"
               << verify::verifySolution(chip, minimized).str()
               << core::checkSolution(chip, minimized).str();
-    dumpRepro(opt, seed, chip, minimized, nullptr);
+    dumpRepro(opt, seed, chip, minimized);
     ok = false;
   }
 
@@ -547,7 +610,7 @@ bool runDesign(const Options& opt, serve::Server& server, std::uint32_t seed,
   {
     std::mt19937 rng(seed ^ 0x9e3779b9u);
     chip::Chip cur = chip;
-    core::PacorResult prev = serial;
+    core::PacorResult prev = result;
     const int steps = 1 + static_cast<int>(rng() % 4);
     for (int step = 0; ok && step < steps; ++step) {
       const chip::ChipDelta delta = randomDelta(cur, rng);
@@ -555,9 +618,9 @@ bool runDesign(const Options& opt, serve::Server& server, std::uint32_t seed,
       core::PacorResult inc;
       core::EcoInfo info;
       const std::string fail =
-          ecoStepFailure(cur, prev, delta, serialCfg, &edited, &inc, &info);
+          ecoStepFailure(cur, prev, delta, cfg, &edited, &inc, &info);
       if (!fail.empty()) {
-        const chip::ChipDelta minimized = minimizeEcoDelta(cur, prev, delta, serialCfg);
+        const chip::ChipDelta minimized = minimizeEcoDelta(cur, prev, delta, cfg);
         std::cerr << "FAIL seed " << seed << " (eco step " << step << ", "
                   << minimized.ops.size() << "/" << delta.ops.size()
                   << " op(s) after minimization): " << fail << '\n';
@@ -577,29 +640,20 @@ bool runDesign(const Options& opt, serve::Server& server, std::uint32_t seed,
 
   // (h) FPVA valve arrays: every eighth seed also generates a randomized
   // N x M array chip (regular lattice, block clusters, boundary pin ring)
-  // and holds it to the core invariants -- oracle-clean when complete and
-  // byte-identical serial vs parallel. Keeps the generator's parameter
-  // space (ragged blocks, obstacle sprinkling, dense lm mixes) under the
-  // same differential harness as the Table-1-style instances.
+  // and holds it to the core invariant: oracle-clean when complete. Keeps
+  // the generator's parameter space (ragged blocks, obstacle sprinkling,
+  // dense lm mixes) under the same harness as the Table-1-style instances.
   if (seed % 8 == 0) {
     const chip::Chip array = chip::generateFpvaChip(chip::randomFpvaParams(seed));
-    const core::PacorResult arraySerial = core::routeChip(array, serialCfg);
-    const core::PacorResult arrayParallel = core::routeChip(array, parallelCfg);
+    const core::PacorResult arrayResult = core::routeChip(array, cfg);
     ++tally.fpva;
-    if (core::solutionToString(arraySerial) !=
-        core::solutionToString(arrayParallel)) {
-      std::cerr << "FAIL seed " << seed << ": FPVA " << array.name
-                << " serial and --jobs=" << opt.jobs << " solutions differ\n";
-      dumpRepro(opt, seed, array, arraySerial, &arrayParallel);
-      ok = false;
-    }
     if (const verify::OracleReport arrayOracle =
-            verify::verifySolution(array, arraySerial);
-        arraySerial.complete && !arrayOracle.clean()) {
+            verify::verifySolution(array, arrayResult);
+        arrayResult.complete && !arrayOracle.clean()) {
       std::cerr << "FAIL seed " << seed << ": FPVA " << array.name
                 << " claims completion but the oracle found violations:\n"
                 << arrayOracle.str();
-      dumpRepro(opt, seed, array, arraySerial, nullptr);
+      dumpRepro(opt, seed, array, arrayResult);
       ok = false;
     }
   }
@@ -665,7 +719,7 @@ bool runDesign(const Options& opt, serve::Server& server, std::uint32_t seed,
     std::cout << "seed " << seed << ": " << chip.name << " "
               << chip.routingGrid.width() << "x" << chip.routingGrid.height()
               << ", " << chip.valves.size() << " valves, delta " << chip.delta
-              << (serial.complete ? ", complete" : ", INCOMPLETE")
+              << (result.complete ? ", complete" : ", INCOMPLETE")
               << (ok ? "" : "  <-- FAILED") << '\n';
   return ok;
 }
@@ -677,11 +731,11 @@ int main(int argc, char** argv) {
   if (!parseOptions(argc, argv, opt)) return usage();
 
   Tally tally;
-  serve::Server server(opt.jobs);  // shared across all seeds (property e)
+  serve::Server server;  // shared across all seeds (property e)
   for (std::uint32_t i = 0; i < opt.designs; ++i) {
     const std::uint32_t seed = opt.seed + i;
-    // Trace the first design end to end (serial + parallel runs) so the
-    // tracing subsystem is exercised under the harness build's sanitizers.
+    // Trace the first design end to end so the tracing subsystem is
+    // exercised under the harness build's sanitizers.
     const bool traceThis = i == 0 && !opt.tracePath.empty();
     if (traceThis) trace::beginSession(trace::Level::kSearch);
     try {
@@ -706,9 +760,9 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "pacor_fuzz: " << tally.designs << " designs (base seed " << opt.seed
-            << ", jobs " << opt.jobs << "), " << tally.complete
-            << " routed to completion, " << tally.clusters << " clusters total, "
-            << "eco steps " << tally.ecoIdentity << " identity / "
+            << "), " << tally.complete << " routed to completion, " << tally.clusters
+            << " clusters total, " << tally.warmEscapeRounds
+            << " warm escape rounds replayed, eco steps " << tally.ecoIdentity << " identity / "
             << tally.ecoIncremental << " incremental / " << tally.ecoFull
             << " full, " << tally.fpva << " fpva arrays, "
             << tally.protocolLines << " protocol lines, " << tally.failures
