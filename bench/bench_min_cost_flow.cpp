@@ -2,13 +2,10 @@
 // kernel: synthetic node-split grids (the escape network shape of Sec. 5)
 // at Table-1 scale (n = 120, the Chip1/Chip2 routing-grid magnitude) and
 // an FPVA-like scale (n = 300, the 10-100x valve-count workloads of the
-// fully-programmable-valve-array papers), solved
-//
-//   * cold (fresh network each iteration; construction excluded from the
-//     timed region) vs. warm (one frozen network, rerun() per iteration --
-//     the incremental escape-session shape),
-//   * with the default Dial-bucket open list vs. the pure packed heap
-//     (setBucketQueue(false)) -- identical results, different queue.
+// fully-programmable-valve-array papers), solved on a fresh network each
+// iteration (construction excluded from the timed region) with the default
+// Dial-bucket open list vs. the pure packed heap (setBucketQueue(false)) --
+// identical results, different queue.
 //
 // Per-iteration solver-effort counters (Dijkstra passes, settles, queue
 // traffic) are exported as benchmark counters, so a solver regression is
@@ -101,31 +98,6 @@ void BM_SolveCold(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveCold)
     ->ArgsProduct({{120, 300}, {1, 0}})  // bucket vs heap
-    ->Unit(benchmark::kMillisecond);
-
-// Warm rerun: one frozen network, resetFlow()+run() per iteration -- the
-// shape every incremental escape-session round takes.
-void BM_RerunWarm(benchmark::State& state) {
-  const GridSpec g{static_cast<std::int32_t>(state.range(0))};
-  MinCostFlow solver(g.nodes());
-  buildGrid(solver, g);
-  solver.freeze();
-  solver.setBucketQueue(state.range(1) != 0);
-  solver.run(g.s(), g.t());  // populate the dirty lists once
-  solver.resetCounters();
-  std::int64_t flow = 0, cost = 0;
-  for (auto _ : state) {
-    const auto r = solver.rerun(g.s(), g.t());
-    benchmark::DoNotOptimize(r);
-    flow = r.flow;
-    cost = r.cost;
-  }
-  reportCounters(state, solver.counters());
-  state.counters["flow"] = static_cast<double>(flow);
-  state.counters["cost"] = static_cast<double>(cost);
-}
-BENCHMARK(BM_RerunWarm)
-    ->ArgsProduct({{120, 300}, {1, 0}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -1,11 +1,11 @@
 #pragma once
 
+#include <memory>
 #include <span>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
-#include "graph/min_cost_flow.hpp"
+#include "graph/ssp_core.hpp"
 #include "grid/obstacle_map.hpp"
 #include "pacor/work.hpp"
 
@@ -17,16 +17,16 @@ struct EscapeOutcome {
   int routedCount = 0;
   std::vector<std::size_t> failed;  ///< indices into the cluster span
   std::int64_t flowCost = 0;        ///< total channel length of escape paths
-  /// Seconds spent building the flow network (or, for a warm session
-  /// round, applying the per-round delta) and solving it. Measured
-  /// unconditionally so the pipeline can report cumulative flow time as
+  /// Seconds spent building the flow network (for a session round, its
+  /// per-round setup) and solving it. Measured unconditionally so the
+  /// pipeline can report cumulative flow time as
   /// time.escape_flow_{build,run}_s metrics without a trace session.
   double flowBuildSeconds = 0.0;
   double flowRunSeconds = 0.0;
   /// Solver-effort counters for this pass (Dijkstra passes, augmentations,
   /// queue traffic, ...), surfaced as `escape.flow.*` metrics and the
   /// `search.escape` block of bench_routing.
-  graph::MinCostFlow::Counters flowCounters;
+  graph::SspCore::Counters flowCounters;
 };
 
 /// Simultaneous escape routing of all internally-routed clusters to the
@@ -50,76 +50,62 @@ EscapeOutcome escapeRoute(const chip::Chip& chip, grid::ObstacleMap& obstacles,
                           std::span<WorkCluster*> clusters);
 
 /// Persistent escape-flow solver that survives across pipeline rip-up
-/// rounds. Constructed once per design, it lays down the full node-split
-/// flow network over *every* cell (blocked cells are disabled nodes, so
-/// their arcs are zero-capacity rather than absent) plus one sink arc per
-/// control pin, freezes that as the solver's CSR, and then serves each
-/// escape round by applying deltas:
+/// rounds and, through RouteResources::escapeSession, across serve
+/// requests. It solves the same network as escapeRoute() -- same node
+/// ids, arc costs and per-node arc order, hence the same augmenting paths
+/// and bit-identical escapes -- but never stores it: every arc between
+/// cell nodes (the split arc, four unit steps, the pin arc) is a function
+/// of the cell index, so the residual network is a few bits per cell plus
+/// each round's supply and tap arcs (see GridNetwork in escape.cpp).
 ///
-///  * cells whose occupancy changed since the last round (committed escape
-///    paths, rip-ups, re-routed trees) are disabled/enabled in place;
-///  * pin arcs are re-priced to 1/0 as pins are consumed or released;
-///  * per-round cluster supply and tap arcs go to the solver's overlay and
-///    are truncated again at the start of the next round;
-///  * the solve itself is a warm rerun() -- no node renumbering, no arc
-///    re-insertion, no CSR rebuild.
-///
-/// The delta rules are chosen so the positive-capacity arc set, and its
-/// per-node scan order, is identical to what escapeRoute() builds from
-/// scratch each round: zero-capacity arcs relax exactly like absent arcs,
-/// overlay arcs scan after a node's CSR arcs (their insertion-order
-/// position), and cluster virtual nodes are renumbered per round in
-/// pending order. Solutions are therefore bit-identical to the
-/// from-scratch path; only the build work disappears.
+/// A round re-reads every cell's occupancy, re-opens the pins no escaped
+/// cluster holds, lays down the pending clusters' supply and tap arcs,
+/// and solves from zero flow with zeroed potentials on the solver state
+/// (labels, open list) kept from earlier rounds.
 class EscapeFlowSession {
  public:
-  /// Snapshots the current obstacle state; later rounds diff against it.
+  /// Sizes the network for `chip`'s grid and valve count; later rounds
+  /// count the cells whose occupancy changed since the previous one.
   EscapeFlowSession(const chip::Chip& chip, grid::ObstacleMap& obstacles);
+  ~EscapeFlowSession();
 
-  /// True when this session's frozen network can serve `chip`: same grid
-  /// cell count, identical control pins, and no more valves than the
-  /// network was sized for. Callers holding a session across requests
+  /// True when this session can serve `chip`: same grid width and
+  /// height, identical control pins, and no more valves than the network
+  /// was sized for. Callers holding a session across requests
   /// (serve::DesignContext, RouteResources::escapeSession) reset the
   /// session when this turns false -- valve moves and obstacle edits keep
-  /// it true, pin or grid edits do not.
+  /// it true, pin or grid edits (a transpose included) do not.
   bool compatibleWith(const chip::Chip& chip) const noexcept;
 
   /// Re-targets the session at another request's chip + obstacle map
-  /// (compatibleWith must hold). The next route() call diffs the free
-  /// mirror against the new map -- exactly the per-round occupancy-diff
-  /// path -- so a rebound session stays bit-identical to a session built
-  /// fresh on the new map.
+  /// (compatibleWith must hold). The next route() re-reads the new map's
+  /// occupancy, exactly as every round does.
   void rebind(const chip::Chip& chip, grid::ObstacleMap& obstacles);
 
   /// Drop-in replacement for escapeRoute(): one escape pass over the
   /// given clusters against the session's obstacle map.
   EscapeOutcome route(std::span<WorkCluster*> clusters);
 
-  /// Warm-restart counters for the `escape.flow.*` metrics.
+  /// Session counters for the `escape.flow.*` metrics.
   struct Stats {
-    int coldBuilds = 0;       ///< full network constructions (1 per session)
+    int coldBuilds = 0;       ///< session constructions (1 per session)
     int rounds = 0;           ///< route() calls served
-    int warmRounds = 0;       ///< rounds after the first (delta-applied)
-    std::int64_t warmDeltaCells = 0;  ///< cells toggled across warm rounds
-    std::int64_t warmDeltaArcs = 0;   ///< overlay arcs added across warm rounds
-    std::int64_t persistentArcs = 0;  ///< arcs in the frozen network
+    int warmRounds = 0;       ///< rounds after the first
+    std::int64_t warmDeltaCells = 0;  ///< cells whose occupancy changed, warm rounds
+    std::int64_t warmDeltaArcs = 0;   ///< supply and tap arcs laid down, warm rounds
+    /// Arcs the session stores: the latest round's supply and tap arcs,
+    /// both directions. The grid arcs are implicit.
+    std::int64_t storedArcs = 0;
   };
   const Stats& stats() const { return stats_; }
 
  private:
+  class GridNetwork;
   const chip::Chip* chip_;
   grid::ObstacleMap* obstacles_;
-  graph::MinCostFlow flow_;
-  std::size_t valveCapacity_ = 0;  ///< cluster-node slots in the network
-  std::size_t clusterBase_ = 0;
-  std::size_t source_ = 0;
-  std::size_t sink_ = 0;
-  std::size_t persistentEdges_ = 0;
-  std::vector<std::size_t> splitEdge_;  ///< per cell
-  std::vector<std::pair<std::int32_t, std::int32_t>> stepArc_;  ///< per edge
-  std::vector<std::size_t> pinEdge_;    ///< per chip pin index
-  std::vector<std::uint8_t> freeMirror_;  ///< last-synced isFree() per cell
-  std::vector<std::int32_t> nextCell_;    ///< decompose scratch, kept at -1
+  std::size_t valveCapacity_;  ///< cluster-node slots in the network
+  std::unique_ptr<GridNetwork> net_;
+  graph::SspCore solver_;
   std::unordered_map<Point, chip::PinId> pinAt_;
   Stats stats_;
   double ctorSeconds_ = 0.0;  ///< charged to the first round's build time

@@ -148,7 +148,8 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   if (const auto err = chip.validate())
     throw std::invalid_argument("routeChip: invalid chip: " + *err);
   if (seed == nullptr && resources.obstacleTemplate != nullptr &&
-      resources.obstacleTemplate->grid().cellCount() != chip.routingGrid.cellCount())
+      (resources.obstacleTemplate->grid().width() != chip.routingGrid.width() ||
+       resources.obstacleTemplate->grid().height() != chip.routingGrid.height()))
     throw std::invalid_argument(
         "routeChip: obstacle template does not match the chip's routing grid");
 
@@ -264,7 +265,7 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   EscapeFlowSession::Stats escapeStats0;
   double escapeFlowBuildS = 0.0;
   double escapeFlowRunS = 0.0;
-  graph::MinCostFlow::Counters escapeCounters;
+  graph::SspCore::Counters escapeCounters;
   std::int64_t escapeFlowCost = 0;
   std::int64_t escapeFirstCost = -1;   // first pass with pending demand
   std::int64_t escapeFirstRouted = -1;
@@ -300,7 +301,6 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
     escapeCounters.queuePops += fc.queuePops;
     escapeCounters.settles += fc.settles;
     escapeCounters.earlyExits += fc.earlyExits;
-    escapeCounters.warmArcTouches += fc.warmArcTouches;
     escapeFlowCost += outcome.flowCost;
     // First pass with actual demand: a caller that replays the stages by
     // hand checks its own first flow pass against this (routed count,
@@ -575,7 +575,7 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   m.setInt("escape.wide_tap_remedies", result.escapeWideTapRemedies);
   m.setInt("escape.demotions", result.escapeDemotions);
   m.setInt("escape.splits", result.escapeSplits);
-  // Warm-restart effort of the escape session; zeros when no min-cost-flow
+  // Escape-session rounds and per-round deltas; zeros when no min-cost-flow
   // pass ran (the sequential ablation) so the schema stays stable.
   // Counters are diffed against the pre-request snapshot so a session
   // shared across serve requests still reports per-request numbers
@@ -589,7 +589,9 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
              es.warmDeltaCells - escapeStats0.warmDeltaCells);
     m.setInt("escape.flow.warm_delta_arcs",
              es.warmDeltaArcs - escapeStats0.warmDeltaArcs);
-    m.setInt("escape.flow.persistent_arcs", es.persistentArcs);
+    // Arcs the session stores (the grid arcs are implicit); the key keeps
+    // its name for perfbench's graph.persistent_arcs.
+    m.setInt("escape.flow.persistent_arcs", es.storedArcs);
   }
   // Solver-effort counters summed over every escape pass.
   m.setInt("escape.flow.dijkstra_passes",
@@ -606,13 +608,11 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
            static_cast<std::int64_t>(escapeCounters.settles));
   m.setInt("escape.flow.early_exits",
            static_cast<std::int64_t>(escapeCounters.earlyExits));
-  m.setInt("escape.flow.warm_arc_touches",
-           static_cast<std::int64_t>(escapeCounters.warmArcTouches));
   m.setInt("escape.flow.cost", escapeFlowCost);
   m.setInt("escape.flow.first_cost", escapeFirstCost);
   m.setInt("escape.flow.first_routed", escapeFirstRouted);
-  // Cumulative flow network build (or warm-delta) and solve time across
-  // every escape pass.
+  // Cumulative flow setup (session construction plus each round's
+  // occupancy read and tap arcs) and solve time across every escape pass.
   m.setReal("time.escape_flow_build_s", escapeFlowBuildS);
   m.setReal("time.escape_flow_run_s", escapeFlowRunS);
   m.setInt("detour.reroutes", result.detourReroutes);

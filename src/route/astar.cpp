@@ -147,86 +147,6 @@ AStarResult aStarRouteHeap(const grid::ObstacleMap& obstacles,
   return {};
 }
 
-/// Direction-aware variant: states are (cell, incoming direction), so a
-/// turn can be charged request.bendPenalty. Used when bendPenalty > 0.
-AStarResult aStarRouteWithBends(const grid::ObstacleMap& obstacles,
-                                const AStarRequest& request, RouterWorkspace& ws) {
-  const grid::Grid& g = obstacles.grid();
-  const SearchGoal goal = SearchGoal::of(request.targets);
-  const auto usable = [&](Point p) {
-    return obstacles.isFreeFor(p, request.net) &&
-           (request.forbidden == nullptr || !request.forbidden->contains(p));
-  };
-  const auto stepCost = [&](Point q) {
-    double c = 1.0;
-    if (request.historyCost != nullptr)
-      c += (*request.historyCost)[static_cast<std::size_t>(g.index(q))];
-    return c;
-  };
-
-  ws.bindDirectional();
-  stampTargets(ws, g, request.targets);
-
-  // State = cell * 5 + dir; dir 4 = "no direction yet" (source states).
-  constexpr std::size_t kDirs = 5;
-  const auto labelDir = [&](std::size_t state, double dv, std::int64_t par) {
-    ws.stampDir[state] = ws.epoch;
-    ws.distDir[state] = dv;
-    ws.parentDir[state] = par;
-  };
-  auto& open = ws.dirHeap;
-  const auto push = [&](RouterWorkspace::DirHeapItem item) {
-    open.push_back(item);
-    std::push_heap(open.begin(), open.end(), std::greater<>{});
-  };
-
-  for (const Point s : request.sources) {
-    if (!g.inBounds(s) || !usable(s)) continue;
-    const auto state = static_cast<std::size_t>(g.index(s)) * kDirs + 4;
-    if (ws.stampDir[state] != ws.epoch || ws.distDir[state] > 0.0) {
-      labelDir(state, 0.0, -1);
-      push({static_cast<double>(goal.h(s)), 0.0, static_cast<std::int64_t>(state)});
-    }
-  }
-
-  while (!open.empty()) {
-    std::pop_heap(open.begin(), open.end(), std::greater<>{});
-    const RouterWorkspace::DirHeapItem top = open.back();
-    open.pop_back();
-    const auto state = static_cast<std::size_t>(top.state);
-    if (top.g > ws.distDir[state]) continue;
-    ++ws.expansions;
-    const auto cellIdx = static_cast<std::int32_t>(state / kDirs);
-    const auto dir = state % kDirs;
-    const Point p = g.point(cellIdx);
-    if (ws.targetStamp[static_cast<std::size_t>(cellIdx)] == ws.epoch) {
-      AStarResult result;
-      result.success = true;
-      result.cost = top.g;
-      for (std::int64_t st = top.state; st != -1;
-           st = ws.parentDir[static_cast<std::size_t>(st)])
-        result.path.push_back(g.point(static_cast<std::int32_t>(st / kDirs)));
-      std::reverse(result.path.begin(), result.path.end());
-      // A state chain may stay on one cell only at the source; dedupe.
-      result.path.erase(std::unique(result.path.begin(), result.path.end(),
-                                    [](Point a, Point b) { return a == b; }),
-                        result.path.end());
-      return result;
-    }
-    for (std::size_t d = 0; d < grid::Grid::kNeighborOffsets.size(); ++d) {
-      const Point q = p + grid::Grid::kNeighborOffsets[d];
-      if (!g.inBounds(q) || !usable(q)) continue;
-      const double turn = (dir != 4 && dir != d) ? request.bendPenalty : 0.0;
-      const double ng = top.g + stepCost(q) + turn;
-      const auto nextState = static_cast<std::size_t>(g.index(q)) * kDirs + d;
-      if (ws.stampDir[nextState] == ws.epoch && ng >= ws.distDir[nextState]) continue;
-      labelDir(nextState, ng, top.state);
-      push({ng + static_cast<double>(goal.h(q)), ng, static_cast<std::int64_t>(nextState)});
-    }
-  }
-  return {};
-}
-
 }  // namespace
 
 AStarResult aStarRoute(const grid::ObstacleMap& obstacles, const AStarRequest& request,
@@ -237,9 +157,7 @@ AStarResult aStarRoute(const grid::ObstacleMap& obstacles, const AStarRequest& r
   ws.bind(obstacles.grid());
   ws.beginSearch();
   AStarResult result;
-  if (request.bendPenalty > 0.0)
-    result = aStarRouteWithBends(obstacles, request, ws);
-  else if (request.historyCost == nullptr)
+  if (request.historyCost == nullptr)
     result = aStarRouteBuckets(obstacles, request, ws);
   else
     result = aStarRouteHeap(obstacles, request, ws);

@@ -21,12 +21,6 @@ struct AStarRequest {
   /// Optional per-cell extra cost (negotiation history, Eq. 5); indexed by
   /// Grid::index. Null = plain shortest path.
   const std::vector<double>* historyCost = nullptr;
-  /// Optional penalty per direction change. Fabricated PDMS channels
-  /// prefer few corners (cleaner molds, lower hydraulic resistance); a
-  /// small positive value (< 1) breaks ties among equal-length paths
-  /// toward the straightest one, larger values trade length for bends.
-  /// 0 keeps the fast direction-agnostic search.
-  double bendPenalty = 0.0;
   /// Optional cells this search must not enter even when the map says they
   /// are free. Negotiation uses it to fence off terminals of OTHER edge
   /// groups: those cells are released in its working map so their own

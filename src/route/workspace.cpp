@@ -51,29 +51,16 @@ void RouterWorkspace::bind(const grid::Grid& g) {
   targetStamp.assign(cells, 0);
   dist.resize(cells);
   parent.resize(cells);
-  stampDir.clear();  // directional overlay re-binds on demand
-  distDir.clear();
-  parentDir.clear();
-}
-
-void RouterWorkspace::bindDirectional() {
-  const std::size_t states = cells_ * 5;
-  if (stampDir.size() == states) return;
-  stampDir.assign(states, 0);
-  distDir.resize(states);
-  parentDir.resize(states);
 }
 
 std::uint32_t RouterWorkspace::beginSearch() {
   if (epoch == std::numeric_limits<std::uint32_t>::max()) {
     std::fill(stamp.begin(), stamp.end(), 0);
     std::fill(targetStamp.begin(), targetStamp.end(), 0);
-    std::fill(stampDir.begin(), stampDir.end(), 0);
     epoch = 0;
   }
   ++epoch;
   heap.clear();
-  dirHeap.clear();
   // Unconsumed entries of the previous search live in [cursor, hi]; empty
   // those buckets (keeping their capacity) before the range resets.
   for (std::int64_t f = bucketCursor; f <= bucketHi; ++f)

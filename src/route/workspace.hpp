@@ -78,8 +78,8 @@ class TallyScope {
   SharedTally* prev_;
 };
 
-/// Reusable scratch memory for the grid-search kernels (A*, the bend-aware
-/// variant, and the bounded-length DFS).
+/// Reusable scratch memory for the grid-search kernels (A* and the
+/// bounded-length DFS).
 ///
 /// The seed implementation constructed and infinity-filled O(grid cells)
 /// vectors on every call; at routing-iteration counts that is the dominant
@@ -112,12 +112,6 @@ class RouterWorkspace {
   std::vector<double> dist;
   std::vector<std::int32_t> parent;
 
-  // --- direction-aware overlay (5 states per cell), sized on demand -------
-  std::vector<std::uint32_t> stampDir;
-  std::vector<double> distDir;
-  std::vector<std::int64_t> parentDir;
-  void bindDirectional();
-
   // --- reusable open lists ------------------------------------------------
   /// Binary-heap storage for the double-cost search (history costs).
   struct HeapItem {
@@ -127,15 +121,6 @@ class RouterWorkspace {
     bool operator>(const HeapItem& o) const noexcept { return f > o.f; }
   };
   std::vector<HeapItem> heap;
-
-  /// Binary-heap storage for the direction-aware search.
-  struct DirHeapItem {
-    double f;
-    double g;
-    std::int64_t state;
-    bool operator>(const DirHeapItem& o) const noexcept { return f > o.f; }
-  };
-  std::vector<DirHeapItem> dirHeap;
 
   /// Bucketed open list for the integer-cost (no-history) fast path:
   /// entries keyed by f = g + h, popped in non-decreasing f order (the

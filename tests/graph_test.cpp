@@ -7,11 +7,9 @@
 #include "graph/adjacency.hpp"
 #include "graph/clique_partition.hpp"
 #include "graph/dsu.hpp"
-#include "graph/max_weight_clique.hpp"
 #include "graph/min_cost_flow.hpp"
 #include "graph/mst.hpp"
 #include "graph/selection.hpp"
-#include "graph/steiner.hpp"
 
 namespace pacor::graph {
 namespace {
@@ -112,40 +110,6 @@ TEST(CliquePartitionValidate, RejectsNonClique) {
   EXPECT_FALSE(isValidCliquePartition(g, {{0, 1}}));        // misses vertex 2
   EXPECT_FALSE(isValidCliquePartition(g, {{0, 1}, {1, 2}}));  // 1 twice + non-edge
   EXPECT_TRUE(isValidCliquePartition(g, {{0, 1}, {2}}));
-}
-
-TEST(MaxWeightClique, TriangleBeatsHeavyEdge) {
-  // Triangle {0,1,2} of weight 3 vs pair {3,4} of weight 2+2=4... the
-  // solver must weigh, not count.
-  AdjacencyMatrix g(5);
-  g.addEdge(0, 1);
-  g.addEdge(1, 2);
-  g.addEdge(0, 2);
-  g.addEdge(3, 4);
-  const std::vector<double> w{1, 1, 1, 2, 2};
-  const auto res = maxWeightClique(g, w);
-  EXPECT_DOUBLE_EQ(res.weight, 4.0);
-  EXPECT_EQ(res.vertices, (std::vector<std::size_t>{3, 4}));
-}
-
-TEST(MaxWeightClique, ExactBeatsGreedyOrMatchesOnRandom) {
-  std::mt19937 rng(11);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = 4 + rng() % 10;
-    AdjacencyMatrix g(n);
-    std::vector<double> w(n);
-    for (std::size_t i = 0; i < n; ++i) w[i] = 0.1 + static_cast<double>(rng() % 100) / 10.0;
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = i + 1; j < n; ++j)
-        if (rng() % 2) g.addEdge(i, j);
-    const auto exact = maxWeightClique(g, w);
-    const auto greedy = maxWeightCliqueGreedy(g, w);
-    EXPECT_GE(exact.weight, greedy.weight - 1e-9);
-    // Exact result must be a clique.
-    for (std::size_t i = 0; i < exact.vertices.size(); ++i)
-      for (std::size_t j = i + 1; j < exact.vertices.size(); ++j)
-        EXPECT_TRUE(g.hasEdge(exact.vertices[i], exact.vertices[j]));
-  }
 }
 
 TEST(Selection, SingleClusterPicksBestCandidate) {
@@ -371,45 +335,6 @@ TEST(CliquePartitionExact, AutoClampsOversizedExactLimit) {
   for (std::size_t i = 0; i + 1 < g.size(); i += 2) g.addEdge(i, i + 1);
   const auto parts = cliquePartitionAuto(g, /*exactLimit=*/100);
   EXPECT_TRUE(isValidCliquePartition(g, parts));
-}
-
-
-TEST(Steiner, LShapedTripleGainsACorner) {
-  // Classic: three points in an L; the Steiner point at the corner saves
-  // exactly min(dx, dy)... here MST = 8 + 8 = 16, RSMT = 12.
-  const std::vector<geom::Point> pts{{0, 0}, {8, 0}, {0, 4}};
-  const auto tree = iteratedOneSteiner(pts);
-  EXPECT_EQ(mstCost(pts), 12);  // MST already optimal here (shares (0,0))
-  EXPECT_LE(tree.cost, mstCost(pts));
-
-  // A cross: 4 points around a center; one Steiner point saves a lot.
-  const std::vector<geom::Point> cross{{0, 5}, {10, 5}, {5, 0}, {5, 10}};
-  const auto crossTree = iteratedOneSteiner(cross);
-  EXPECT_EQ(crossTree.cost, 20);  // star through (5,5)
-  EXPECT_LT(crossTree.cost, mstCost(cross));
-  ASSERT_GE(crossTree.steinerPoints.size(), 1u);
-}
-
-TEST(Steiner, NeverWorseThanMstOnRandom) {
-  std::mt19937 rng(5);
-  for (int trial = 0; trial < 15; ++trial) {
-    std::vector<geom::Point> pts;
-    const std::size_t n = 3 + rng() % 7;
-    for (std::size_t i = 0; i < n; ++i)
-      pts.push_back({static_cast<std::int32_t>(rng() % 30),
-                     static_cast<std::int32_t>(rng() % 30)});
-    const auto tree = iteratedOneSteiner(pts);
-    EXPECT_LE(tree.cost, mstCost(pts)) << "trial " << trial;
-    // The tree spans terminals + steiner points.
-    EXPECT_EQ(tree.edges.size() + 1, pts.size() + tree.steinerPoints.size());
-  }
-}
-
-TEST(Steiner, DegenerateInputs) {
-  EXPECT_EQ(iteratedOneSteiner(std::vector<geom::Point>{}).cost, 0);
-  EXPECT_EQ(iteratedOneSteiner(std::vector<geom::Point>{{3, 3}}).cost, 0);
-  const std::vector<geom::Point> two{{0, 0}, {5, 7}};
-  EXPECT_EQ(iteratedOneSteiner(two).cost, 12);
 }
 
 }  // namespace

@@ -193,28 +193,6 @@ TEST_P(SolverEquivalence, DefaultSolverIsResidualOptimal) {
   }
 }
 
-TEST_P(SolverEquivalence, WarmRerunMatchesColdSolve) {
-  for (int rep = 0; rep < 10; ++rep) {
-    const auto seed = static_cast<std::uint32_t>(GetParam() * 1000 + rep);
-    const Instance inst = makeInstance(seed);
-
-    MinCostFlow warm = buildSolver(inst);
-    warm.freeze();
-    const auto first = warm.run(inst.s, inst.t);
-    const auto second = warm.rerun(inst.s, inst.t);
-    ASSERT_EQ(first.flow, second.flow) << "seed " << seed;
-    ASSERT_EQ(first.cost, second.cost) << "seed " << seed;
-
-    MinCostFlow cold = buildSolver(inst);
-    const auto fresh = cold.run(inst.s, inst.t);
-    ASSERT_EQ(fresh.flow, second.flow) << "seed " << seed;
-    ASSERT_EQ(fresh.cost, second.cost) << "seed " << seed;
-    for (std::size_t e = 0; e < inst.edges.size(); ++e)
-      ASSERT_EQ(cold.flowOn(e), warm.flowOn(e))
-          << "seed " << seed << " edge " << e;
-  }
-}
-
 // 10 groups x 25 reps = 250 seeded networks per differential property.
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverEquivalence, ::testing::Range(0, 10));
 

@@ -361,50 +361,6 @@ TEST(BumpDetour, LargeExtensionUsesMultipleBumps) {
   EXPECT_TRUE(isValidChannel(r.path));
 }
 
-
-TEST(AStarBends, PrefersSingleCornerOverStaircase) {
-  ObstacleMap obs((Grid(12, 12)));
-  AStarRequest req;
-  req.sources = {{1, 1}};
-  req.targets = {{8, 8}};
-  req.bendPenalty = 0.25;  // small: same length, fewest corners
-  const auto r = aStarRoute(obs, req);
-  ASSERT_TRUE(r.success);
-  EXPECT_EQ(pathLength(r.path), 14);  // still a shortest path
-  int bends = 0;
-  for (std::size_t i = 2; i < r.path.size(); ++i) {
-    const Point d1 = r.path[i - 1] - r.path[i - 2];
-    const Point d2 = r.path[i] - r.path[i - 1];
-    bends += !(d1 == d2);
-  }
-  EXPECT_EQ(bends, 1);  // one L corner
-}
-
-TEST(AStarBends, LargePenaltyTradesLengthForStraightness) {
-  // A pocket forcing a zig-zag on the short route; with a huge bend
-  // penalty the router prefers the longer but straighter way around.
-  ObstacleMap obs((Grid(16, 16)));
-  for (std::int32_t y = 2; y <= 13; ++y)
-    if (y != 2) obs.addObstacle({8, y});  // wall with gap at the top
-  AStarRequest plain;
-  plain.sources = {{4, 8}};
-  plain.targets = {{12, 8}};
-  const auto shortest = aStarRoute(obs, plain);
-  AStarRequest straight = plain;
-  straight.bendPenalty = 0.25;
-  const auto fewBends = aStarRoute(obs, straight);
-  ASSERT_TRUE(shortest.success);
-  ASSERT_TRUE(fewBends.success);
-  EXPECT_EQ(pathLength(shortest.path), pathLength(fewBends.path));
-  const auto bendCount = [](const Path& p) {
-    int bends = 0;
-    for (std::size_t i = 2; i < p.size(); ++i)
-      bends += !((p[i - 1] - p[i - 2]) == (p[i] - p[i - 1]));
-    return bends;
-  };
-  EXPECT_LE(bendCount(fewBends.path), bendCount(shortest.path));
-}
-
 TEST(RouterWorkspace, ReusedWorkspaceMatchesFreshSearches) {
   ObstacleMap obs((Grid(32, 32)));
   for (int y = 0; y < 30; ++y) obs.addObstacle({16, y});
@@ -421,21 +377,6 @@ TEST(RouterWorkspace, ReusedWorkspaceMatchesFreshSearches) {
     EXPECT_EQ(a.path, b.path);
     EXPECT_EQ(a.cost, b.cost);
   }
-}
-
-TEST(AStarBends, StillRespectsObstaclesAndNets) {
-  ObstacleMap obs((Grid(10, 10)));
-  const Path foreign{{5, 0}, {5, 1}, {5, 2}, {5, 3}, {5, 4}};
-  obs.occupy(foreign, 3);
-  AStarRequest req;
-  req.sources = {{1, 2}};
-  req.targets = {{8, 2}};
-  req.net = 7;
-  req.bendPenalty = 0.5;
-  const auto r = aStarRoute(obs, req);
-  ASSERT_TRUE(r.success);
-  for (const Point p : r.path) EXPECT_NE(obs.owner(p), 3);
-  EXPECT_TRUE(isValidChannel(r.path));
 }
 
 }  // namespace

@@ -26,6 +26,8 @@
 
 #include "chip/delta.hpp"
 #include "chip/generator.hpp"
+#include "chip/io.hpp"
+#include "pacor/eco.hpp"
 #include "pacor/pipeline.hpp"
 #include "pacor/solution_io.hpp"
 #include "serve/serve.hpp"
@@ -90,6 +92,12 @@ TEST(RequestIsolation, ObstacleTemplateMustMatchTheChip) {
   const grid::ObstacleMap wrongTemplate = core::makeRoutingObstacleTemplate(small);
   core::RouteResources resources;
   resources.obstacleTemplate = &wrongTemplate;
+  EXPECT_THROW(core::routeChip(big, core::pacorDefaultConfig(), resources),
+               std::invalid_argument);
+  // Same cell count, other shape: still the wrong grid.
+  const grid::ObstacleMap reshaped(
+      grid::Grid(big.routingGrid.width() * big.routingGrid.height(), 1));
+  resources.obstacleTemplate = &reshaped;
   EXPECT_THROW(core::routeChip(big, core::pacorDefaultConfig(), resources),
                std::invalid_argument);
 }
@@ -263,6 +271,55 @@ TEST(ServeEco, EcoRequestAdvancesTheDesign) {
   ASSERT_TRUE(after.ok) << after.error;
   EXPECT_EQ(after.solutionText,
             core::solutionToString(core::routeChip(edited, core::pacorDefaultConfig())));
+}
+
+// A transpose (set-grid 30 20 on a 20 x 30 design) keeps the cell count,
+// and with every pin on the x = 0 and y = 0 boundaries it keeps the pins
+// too. The escape session the first route left behind was sized for the
+// 20-wide grid; the eco must not rebind it onto the 30-wide map (which
+// once failed with unordered_map::at) and must answer the one-shot bytes.
+TEST(ServeEco, GridTransposeMatchesOneShotReroute) {
+  std::istringstream text(R"(pacor-chip 1
+name T
+grid 20 30
+rules 10 10
+delta 1
+valves 6
+0 3 5 0101
+1 8 12 0101
+2 14 6 1010
+3 5 15 1010
+4 12 16 0110
+5 16 11 1001
+pins 8
+0 0 3
+1 0 7
+2 0 11
+3 0 15
+4 4 0
+5 9 0
+6 13 0
+7 17 0
+obstacles 0
+clusters 0
+)");
+  const chip::Chip base = chip::readChip(text);
+  chip::Chip transposed = base;
+  transposed.routingGrid = grid::Grid(30, 20);
+  const chip::ChipDelta d = chip::diff(base, transposed);
+  const core::PacorResult prev = core::routeChip(base, core::pacorDefaultConfig());
+  const std::string oneShot =
+      core::solutionToString(core::rerouteChip(base, prev, d, core::pacorDefaultConfig()));
+
+  serve::Server server;
+  const std::shared_ptr<serve::DesignContext> ctx =
+      server.context("T", [&] { return base; });
+  const serve::Response before = server.route(*ctx, serve::RequestOptions{});
+  ASSERT_TRUE(before.ok) << before.error;
+  const serve::Response eco = server.eco(*ctx, d, serve::RequestOptions{});
+  ASSERT_TRUE(eco.ok) << eco.error;
+  EXPECT_EQ(eco.ecoMode, "full");
+  EXPECT_EQ(eco.solutionText, oneShot);
 }
 
 TEST(ServeEco, ConcurrentRouteAndEcoStayConsistent) {

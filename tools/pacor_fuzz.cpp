@@ -10,13 +10,16 @@
 //   (c) the oracle and the router-side DRC agree on clean/dirty -- a
 //       disagreement is a bug in one of the two checkers,
 //   (d) the escape-flow session equals the from-scratch escapeRoute()
-//       reference: stages 1-3 run once, then two escape rounds run on two
-//       copies of the result, one through an EscapeFlowSession and one
-//       through escapeRoute(). The second round is a warm session round
-//       after the same rip-up on both copies (every escape path and pin,
-//       plus one multi-valve cluster's tree). Every round must agree on
-//       the requested/routed counts, the flow cost, and each cluster's
-//       pin and escape path,
+//       reference: stages 1-3 run once, then three escape rounds run on
+//       two copies of the result, one through an EscapeFlowSession and
+//       one through escapeRoute(). The second round follows the same
+//       rip-up on both copies (every escape path and pin, plus one
+//       multi-valve cluster's tree); the third keeps every other escape
+//       (its pin stays taken) and widens one matched cluster's taps to
+//       its whole tree with the root-distance bias. Every round must
+//       agree on the requested/routed counts, the flow cost, the solver
+//       counters (settles, passes, augmentations, queue pushes and pops),
+//       and each cluster's pin and escape path,
 //   (e) the long-lived serve loop is invisible too: routing the design
 //       through one shared serve::Server (reused workspaces and obstacle
 //       templates across all previous seeds' requests) is byte-identical
@@ -252,19 +255,21 @@ std::vector<core::WorkCluster> routeToEscape(const chip::Chip& chip,
                                   [&nextNet] { return nextNet++; });
 }
 
-/// The rip-up between the two replay rounds: every escape path and pin is
-/// released, and so is the tree of cluster `victim` (when in range), which
-/// leaves that cluster unrouted and out of the next round.
+void releaseEscape(grid::ObstacleMap& obstacles, core::WorkCluster& wc) {
+  if (wc.escapePath.size() > 1)
+    obstacles.releasePath(std::span<const geom::Point>(wc.escapePath.data() + 1,
+                                                       wc.escapePath.size() - 1),
+                          wc.net);
+  wc.escapePath.clear();
+  wc.pin = -1;
+}
+
+/// The rip-up before the second replay round: every escape path and pin
+/// is released, and so is the tree of cluster `victim` (when in range),
+/// which leaves that cluster unrouted and out of the next round.
 void ripUpForReplay(grid::ObstacleMap& obstacles, std::vector<core::WorkCluster>& clusters,
                     const chip::Chip& chip, std::size_t victim) {
-  for (core::WorkCluster& wc : clusters) {
-    if (wc.escapePath.size() > 1)
-      obstacles.releasePath(std::span<const geom::Point>(wc.escapePath.data() + 1,
-                                                         wc.escapePath.size() - 1),
-                            wc.net);
-    wc.escapePath.clear();
-    wc.pin = -1;
-  }
+  for (core::WorkCluster& wc : clusters) releaseEscape(obstacles, wc);
   if (victim >= clusters.size()) return;
   core::WorkCluster& wc = clusters[victim];
   obstacles.release(wc.net);
@@ -275,6 +280,30 @@ void ripUpForReplay(grid::ObstacleMap& obstacles, std::vector<core::WorkCluster>
   wc.internallyRouted = false;
   wc.treePaths.clear();
   wc.tapCells.clear();
+}
+
+/// The edit before the third replay round: the first escaped matched
+/// cluster gets the pipeline's wide-tap remedy (every tree cell a tap,
+/// priced by its distance from the root) and loses its escape, and so
+/// does every other escaped cluster; the rest keep their pins taken.
+void widenOneAndRipUpHalf(grid::ObstacleMap& obstacles,
+                          std::vector<core::WorkCluster>& clusters) {
+  std::size_t widened = 0;
+  while (widened < clusters.size() &&
+         !(clusters[widened].lmStructured && clusters[widened].pin >= 0))
+    ++widened;
+  int escaped = 0;
+  for (std::size_t i = 0; i < clusters.size(); ++i)
+    if (clusters[i].pin >= 0 && (escaped++ % 2 == 1 || i == widened))
+      releaseEscape(obstacles, clusters[i]);
+  if (widened == clusters.size()) return;
+  core::WorkCluster& wc = clusters[widened];
+  wc.tapCells.clear();
+  for (const route::Path& p : wc.treePaths)
+    wc.tapCells.insert(wc.tapCells.end(), p.begin(), p.end());
+  std::sort(wc.tapCells.begin(), wc.tapCells.end());
+  wc.tapCells.erase(std::unique(wc.tapCells.begin(), wc.tapCells.end()), wc.tapCells.end());
+  wc.wideTap = true;
 }
 
 std::vector<core::WorkCluster*> pointersTo(std::vector<core::WorkCluster>& clusters) {
@@ -300,10 +329,14 @@ std::string escapeReplayFailure(const chip::Chip& chip, const core::PacorConfig&
       multiValve.empty() ? sessionClusters.size() : multiValve[seed % multiValve.size()];
 
   core::EscapeFlowSession session(chip, sessionMap);
-  for (int round = 1; round <= 2; ++round) {
+  for (int round = 1; round <= 3; ++round) {
     if (round == 2) {
       ripUpForReplay(sessionMap, sessionClusters, chip, victim);
       ripUpForReplay(scratchMap, scratchClusters, chip, victim);
+    }
+    if (round == 3) {
+      widenOneAndRipUpHalf(sessionMap, sessionClusters);
+      widenOneAndRipUpHalf(scratchMap, scratchClusters);
     }
     std::vector<core::WorkCluster*> sessionPtrs = pointersTo(sessionClusters);
     std::vector<core::WorkCluster*> scratchPtrs = pointersTo(scratchClusters);
@@ -318,6 +351,15 @@ std::string escapeReplayFailure(const chip::Chip& chip, const core::PacorConfig&
           << cold.requested << "/" << cold.routedCount << "/" << cold.flowCost;
       return why.str();
     }
+    const graph::SspCore::Counters& w = warm.flowCounters;
+    const graph::SspCore::Counters& c = cold.flowCounters;
+    if (!(w == c)) {
+      why << "session settles/passes/pushes/pops " << w.settles << "/" << w.dijkstraPasses
+          << "/" << w.bucketPushes + w.heapPushes << "/" << w.queuePops
+          << " vs escapeRoute " << c.settles << "/" << c.dijkstraPasses << "/"
+          << c.bucketPushes + c.heapPushes << "/" << c.queuePops;
+      return why.str();
+    }
     for (std::size_t i = 0; i < sessionClusters.size(); ++i)
       if (sessionClusters[i].pin != scratchClusters[i].pin ||
           sessionClusters[i].escapePath != scratchClusters[i].escapePath) {
@@ -326,8 +368,8 @@ std::string escapeReplayFailure(const chip::Chip& chip, const core::PacorConfig&
             << " via escapeRoute (or along a different path)";
         return why.str();
       }
-    if (round == 2 && warm.requested > 0 && session.stats().warmRounds == 0)
-      return "escape round 2 was not a warm session round";
+    if (round > 1 && warm.requested > 0 && session.stats().warmRounds == 0)
+      return "escape round " + std::to_string(round) + " was not a warm session round";
   }
   warmRounds = session.stats().warmRounds;
   return "";
