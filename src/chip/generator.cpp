@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "util/deadline.hpp"
+
 namespace pacor::chip {
 namespace {
 
@@ -439,11 +441,14 @@ Chip generateFpvaChip(const FpvaParams& params) {
   placeBoundaryPins(chip, pinCount, rng);
 
   // Valves on the lattice, row-major: valve (i, j) has id i * cols + j.
-  for (std::int32_t i = 0; i < p.rows; ++i)
+  // A load under a request deadline (util::DeadlineScope) stops per row.
+  for (std::int32_t i = 0; i < p.rows; ++i) {
+    util::checkDeadline();
     for (std::int32_t j = 0; j < p.cols; ++j)
       chip.valves.push_back({static_cast<ValveId>(i * p.cols + j),
                              {p.margin + j * p.pitch, p.margin + i * p.pitch},
                              ActivationSequence()});
+  }
 
   // Cluster blocks in row-major block order. The length-matching flag is
   // spread evenly and deterministically over the blocks (independent of
@@ -499,8 +504,10 @@ Chip generateFpvaChip(const FpvaParams& params) {
     std::sort(chip.obstacles.begin(), chip.obstacles.end());
   }
 
+  util::checkDeadline();
   assignGroupSequences(chip, p.sequenceLength, rng);
 
+  util::checkDeadline();
   if (const auto err = chip.validate())
     throw std::logic_error("fpva generator produced invalid chip: " + *err);
   return chip;

@@ -7,6 +7,8 @@
 #include <limits>
 #include <vector>
 
+#include "util/deadline.hpp"
+
 namespace pacor::graph {
 
 /// Successive-shortest-path (SSP) min-cost max-flow: Dijkstra on Johnson-
@@ -358,6 +360,7 @@ SspCore::Result SspCore::solve(Network& net, std::size_t s, std::size_t t,
                                 : std::numeric_limits<std::int64_t>::max();
 
   while (result.flow < maxFlow) {
+    util::checkDeadline();
     if (sinkCap <= 0) {
       ++counters_.earlyExits;
       break;

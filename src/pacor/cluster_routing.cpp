@@ -8,6 +8,7 @@
 #include "graph/selection.hpp"
 #include "route/negotiation.hpp"
 #include "trace/trace.hpp"
+#include "util/deadline.hpp"
 
 namespace pacor::core {
 namespace {
@@ -172,6 +173,7 @@ LmRoutingStats routeLengthMatchingClusters(const chip::Chip& chip,
   trace::Span spanCandidates("lm.candidates", "cluster_routing");
   std::vector<std::vector<CandidatePlan>> plans(clusters.size());
   for (std::size_t i = 0; i < clusters.size(); ++i) {
+    util::checkDeadline();
     WorkCluster& wc = *clusters[i];
     if (wc.spec.valves.size() == 2) {
       plans[i].push_back(directEdgePlan(chip, wc));
@@ -217,7 +219,8 @@ LmRoutingStats routeLengthMatchingClusters(const chip::Chip& chip,
         flat.emplace_back(a, k);
       }
     }
-    for (std::size_t x = 0; x < flat.size(); ++x)
+    for (std::size_t x = 0; x < flat.size(); ++x) {
+      util::checkDeadline();
       for (std::size_t y = x + 1; y < flat.size(); ++y) {
         if (flat[x].first == flat[y].first) continue;
         const double ol = pairOverlap(plans[active[flat[x].first]][flat[x].second],
@@ -225,6 +228,7 @@ LmRoutingStats routeLengthMatchingClusters(const chip::Chip& chip,
         if (ol > 0.0)
           problem.setPairWeight(x, y, -(1.0 - config.lambda) * ol);  // Eq. 3
       }
+    }
 
     const auto solution = problem.candidateCount() <= config.exactSelectionLimit
                               ? problem.solveExact()

@@ -10,6 +10,7 @@
 #include "route/bounded_astar.hpp"
 #include "route/bump_detour.hpp"
 #include "trace/trace.hpp"
+#include "util/deadline.hpp"
 
 namespace pacor::core {
 namespace {
@@ -272,6 +273,7 @@ bool detourClusterForMatching(const chip::Chip& chip, grid::ObstacleMap& obstacl
   const auto measure = [&] { return measureValveLengths(chip, wc, origin); };
 
   for (int round = 0; round < maxRounds; ++round) {
+    util::checkDeadline();
     if (stats != nullptr) ++stats->iterations;
     const auto lengths = measure();
     if (std::any_of(lengths.begin(), lengths.end(),

@@ -12,6 +12,7 @@
 
 #include "pacor/clustering.hpp"
 #include "pacor/work.hpp"
+#include "util/deadline.hpp"
 
 namespace pacor::core {
 namespace {
@@ -53,6 +54,7 @@ void forEachClusterCell(const chip::Chip& chip, const RoutedCluster& rc,
 PacorResult rerouteChip(const chip::Chip& base, const PacorResult& prev,
                         const chip::ChipDelta& delta, const PacorConfig& config,
                         const RouteResources& resources, EcoInfo* info) {
+  util::checkDeadline();
   chip::AppliedDelta applied = chip::applyWithMap(base, delta);
   const chip::Chip& edited = applied.chip;
   if (const auto err = edited.validate())

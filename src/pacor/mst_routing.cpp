@@ -6,6 +6,7 @@
 
 #include "route/astar.hpp"
 #include "trace/trace.hpp"
+#include "util/deadline.hpp"
 
 namespace pacor::core {
 namespace {
@@ -140,6 +141,7 @@ std::vector<WorkCluster> routeClustersStage(const chip::Chip& chip,
   std::vector<WorkCluster> next;
   next.reserve(clusters.size());
   for (WorkCluster& wc : clusters) {
+    util::checkDeadline();
     if (wc.internallyRouted) {
       next.push_back(std::move(wc));
       continue;

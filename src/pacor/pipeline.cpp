@@ -17,6 +17,7 @@
 #include "pacor/mst_routing.hpp"
 #include "route/workspace.hpp"
 #include "trace/trace.hpp"
+#include "util/deadline.hpp"
 
 namespace pacor::core {
 namespace {
@@ -145,6 +146,7 @@ namespace {
 PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
                           const RouteResources& resources,
                           detail::PipelineSeed* seed) {
+  util::checkDeadline();
   if (const auto err = chip.validate())
     throw std::invalid_argument("routeChip: invalid chip: " + *err);
   if (seed == nullptr && resources.obstacleTemplate != nullptr &&
@@ -313,6 +315,7 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   };
   const auto runEscapeLoop = [&] {
     for (int round = 0; round < config.maxEscapeRounds; ++round) {
+      util::checkDeadline();
       trace::Span roundSpan("escape.round", "escape", trace::Level::kCluster);
       roundSpan.arg("round", round);
       ++result.escapeRounds;
@@ -471,6 +474,7 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   // plain tree walls it in) gets one more chance: relax the nearest plain
   // blocker, re-run the escape flow from scratch, and detour again.
   for (int retry = 0; retry < config.matchingRetries; ++retry) {
+    util::checkDeadline();
     if (config.detourStage != DetourStage::kFinal) break;
     std::vector<std::size_t> hopeless;
     for (std::size_t i = 0; i < clusters.size(); ++i) {

@@ -34,8 +34,9 @@ struct RouteResources {
   /// warm-rebinds it afterwards -- resetting it first whenever
   /// EscapeFlowSession::compatibleWith rejects the request's chip (pin or
   /// grid edits). The slot must not be used by two in-flight requests at
-  /// once; Server::route arbitrates with a try-lock and falls back to a
-  /// request-local session, which is byte-identical either way.
+  /// once; the serve tier runs one request per design at a time. A call
+  /// cancelled by its deadline (see routeChip) leaves the slot reusable:
+  /// every round starts from zero flow, so the next call rebinds it warm.
   std::unique_ptr<EscapeFlowSession>* escapeSession = nullptr;
 };
 
@@ -63,6 +64,14 @@ grid::ObstacleMap makeRoutingObstacleTemplate(const chip::Chip& chip);
 /// the ownership contract); the default-constructed value reproduces the
 /// self-contained one-shot behavior, so `routeChip(chip)` and
 /// `routeChip(chip, config)` keep working unchanged.
+///
+/// Deadline: under a util::DeadlineScope on the calling thread, the call
+/// throws util::DeadlineExceeded soon after the deadline instead of
+/// returning a result. It polls on entry and at unit boundaries (each flow
+/// pass, negotiation iteration, detour, escape or matching round,
+/// candidate or MST cluster, and overlap-matrix row), so it stops within
+/// about one such unit of the deadline. Output of a call that finishes is
+/// byte-identical with or without a scope. rerouteChip polls the same way.
 PacorResult routeChip(const chip::Chip& chip, const PacorConfig& config = {},
                       const RouteResources& resources = {});
 

@@ -6,6 +6,7 @@
 
 #include "route/astar.hpp"
 #include "trace/trace.hpp"
+#include "util/deadline.hpp"
 
 namespace pacor::route {
 namespace {
@@ -82,6 +83,7 @@ NegotiationResult negotiatedRoute(const grid::ObstacleMap& obstacles,
   };
 
   for (int r = 0; r < config.maxIterations; ++r) {
+    util::checkDeadline();
     trace::Span iterSpan("negotiation.iteration", "route", trace::Level::kCluster);
     iterSpan.arg("iteration", r);
     result.iterations = r + 1;

@@ -110,6 +110,9 @@ struct NetServer::Connection {
   std::deque<std::future<Response>> pending;
   bool readerDone = false;
   bool writeFailed = false;  ///< client went away mid-response
+  /// Set by the writer as it exits, after the reader finished: both
+  /// threads can be joined and the fd closed.
+  std::atomic<bool> done{false};
 };
 
 NetServer::NetServer(const NetOptions& options)
@@ -164,6 +167,7 @@ void NetServer::acceptLoop() {
     }
     if (draining_.load()) break;
     if ((fds[0].revents & POLLIN) == 0) continue;
+    reapClosedConnections();
     const int fd = ::accept(listenFd_, nullptr, nullptr);
     if (fd < 0) continue;
     const int one = 1;
@@ -185,6 +189,19 @@ void NetServer::acceptLoop() {
   // Closed here, on the owning thread, so no poll/accept races the close.
   ::close(listenFd_);
   listenFd_ = -1;
+}
+
+/// Joins, closes and drops every connection whose writer has exited, so
+/// a long-lived server holds threads and fds only for open connections.
+void NetServer::reapClosedConnections() {
+  std::lock_guard<std::mutex> lock(connectionsMutex_);
+  std::erase_if(connections_, [](const std::unique_ptr<Connection>& conn) {
+    if (!conn->done.load()) return false;
+    conn->reader.join();
+    conn->writer.join();
+    ::close(conn->fd);
+    return true;
+  });
 }
 
 void NetServer::readerLoop(Connection& conn) {
@@ -225,7 +242,10 @@ void NetServer::writerLoop(Connection& conn) {
       std::unique_lock<std::mutex> lock(conn.mutex);
       conn.cv.wait(lock,
                    [&conn] { return conn.readerDone || !conn.pending.empty(); });
-      if (conn.pending.empty()) return;  // reader done, everything flushed
+      if (conn.pending.empty()) {  // reader done, everything flushed
+        conn.done.store(true);
+        return;
+      }
       fut = std::move(conn.pending.front());
       conn.pending.pop_front();
     }
@@ -323,11 +343,9 @@ int serveForever(const NetOptions& options) {
   gSignalPipe[0] = gSignalPipe[1] = -1;
   std::fprintf(stderr,
                "pacor serve: drained, %zu design context(s) resident, "
-               "%llu deadline_expired, %llu eviction(s), %llu dispatcher "
-               "recycle(s)\n",
+               "%llu deadline_expired, %llu eviction(s)\n",
                designs, static_cast<unsigned long long>(stats.deadlineExpired),
-               static_cast<unsigned long long>(stats.evictions),
-               static_cast<unsigned long long>(stats.dispatcherRecycles));
+               static_cast<unsigned long long>(stats.evictions));
   return 0;
 }
 

@@ -34,6 +34,8 @@ struct NetOptions {
 /// immediate structured `err` response without touching the queue) and a
 /// writer thread that resolves the connection's futures strictly in
 /// request order, so pipelined clients can match responses positionally.
+/// Once a client closes and its last response is flushed, the accept
+/// thread joins both threads and closes the fd before its next accept.
 ///
 /// Shutdown protocol (beginDrain, then wait):
 ///   1. the listener closes -- late connects are refused by the OS,
@@ -63,6 +65,7 @@ class NetServer {
  private:
   struct Connection;
   void acceptLoop();
+  void reapClosedConnections();
   void readerLoop(Connection& conn);
   void writerLoop(Connection& conn);
 

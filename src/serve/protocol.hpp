@@ -1,8 +1,6 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -20,19 +18,11 @@ struct RequestOptions {
   std::string metricsPath;   ///< write the metrics JSON here when set
 
   /// Per-request Chrome trace. Tracing is a process-wide single-recorder
-  /// facility, so the server runs traced requests exclusively (no other
-  /// request in flight) -- see Server::route.
+  /// facility, so the server runs a traced request exclusively (no other
+  /// request in flight) and ends its session on every path, a request
+  /// stopped by its deadline included.
   std::string tracePath;
   trace::Level traceLevel = trace::Level::kCluster;
-
-  /// Server-side, not part of the wire grammar: the per-request cancel
-  /// flag the watchdog sets when the deadline expires mid-execution. An
-  /// abandoned request's response is discarded, but the flag is also
-  /// checked before every externally visible effect -- side-file writes
-  /// and the eco state commit -- so a request the caller was told timed
-  /// out never mutates files or design state behind a retry's back.
-  /// Null = never cancelled.
-  std::shared_ptr<std::atomic<bool>> cancel;
 };
 
 /// What a request asks the server to do.
@@ -59,8 +49,11 @@ enum class Variant { kPacor, kWosel, kDetourFirst };
 /// server's context/affinity key. `delta=` is required by (and only legal
 /// on) eco requests; `gen` requests accept no options at all.
 /// `deadline_ms=` is an integer in [1, kMaxDeadlineMs], measured from
-/// admission; a request not answered by then resolves to a structured
-/// `err <design> field=deadline ...` response instead (see serve.hpp).
+/// admission. A request that cannot finish by then is answered with a
+/// structured `err <design> field=deadline ...` response and had no
+/// effect: no eco commit, no side files. An `ok` response means the
+/// request committed, even if it finished after its deadline (see
+/// serve.hpp).
 struct Request {
   Verb verb = Verb::kRoute;
   std::string design;
@@ -118,9 +111,10 @@ struct Response {
   /// name. Renders as `err <design|-> field=<field> <reason>`.
   std::string errorField;
 
-  /// The request's deadline passed before it finished: the server (or its
-  /// watchdog) answered `err <design> field=deadline deadline expired
-  /// after <D> ms (<queued|executing>)` without (or instead of) a result.
+  /// The request's deadline passed before it finished: the server
+  /// answered `err <design> field=deadline deadline expired after <D> ms
+  /// (<queued|executing>)` instead of a result, and the request had no
+  /// effect.
   bool deadlineExpired = false;
 
   /// ECO responses only (empty / -1 otherwise): how rerouteChip answered.

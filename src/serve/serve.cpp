@@ -8,13 +8,13 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <istream>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <vector>
 
+#include "chip/delta.hpp"
 #include "chip/generator.hpp"
 #include "chip/io.hpp"
 #include "pacor/eco.hpp"
@@ -46,8 +46,101 @@ bool configsEquivalent(const core::PacorConfig& a, const core::PacorConfig& b) {
          a.legalizeRadius == b.legalizeRadius;
 }
 
-bool cancelled(const std::shared_ptr<std::atomic<bool>>& cancel) {
-  return cancel != nullptr && cancel->load(std::memory_order_relaxed);
+/// Close-on-scope-exit for raw fds (the read paths below throw).
+struct FdGuard {
+  int fd;
+  ~FdGuard() {
+    if (fd >= 0) ::close(fd);
+  }
+};
+
+/// The refusal of a client-named path that exists but is not a regular
+/// file: renders as `err <design> field=<field> <field> path <path> is a
+/// fifo, not a regular file`.
+LoadError notRegularFile(const std::string& field, const std::string& path,
+                         mode_t mode) {
+  const char* kind = S_ISFIFO(mode)                     ? "a fifo"
+                     : S_ISDIR(mode)                    ? "a directory"
+                     : S_ISCHR(mode) || S_ISBLK(mode)   ? "a device node"
+                                                        : "not a regular file";
+  return LoadError(field, field + " path " + path + " is " + kind +
+                              ", not a regular file");
+}
+
+/// Reads a client-named input file (a design or a delta) under the
+/// thread's deadline. The open never blocks (O_NONBLOCK) and the opened
+/// file is checked with fstat, so a FIFO, directory or device node is
+/// refused with a LoadError on `field` even if the path changed after an
+/// earlier look. A regular file is read in chunks, polling the deadline
+/// between them. `allowFifo` (test-only) instead parks on a FIFO until a
+/// writer supplies the bytes, polling the deadline: a read of 0 before
+/// any byte means "no writer yet" (FIFO semantics), not EOF -- EOF is a 0
+/// read after at least one byte.
+std::string readInputFile(const std::string& path, const std::string& field,
+                          bool allowFifo) {
+  const auto fail = [&] {
+    return std::runtime_error("cannot read " + field + " file " + path + ": " +
+                              std::strerror(errno));
+  };
+  const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC | O_NOCTTY);
+  if (fd < 0) throw fail();
+  FdGuard guard{fd};
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) throw fail();
+  const bool fifo = allowFifo && S_ISFIFO(st.st_mode);
+  if (!fifo && !S_ISREG(st.st_mode)) throw notRegularFile(field, path, st.st_mode);
+  std::string bytes;
+  char buf[1 << 16];
+  for (;;) {
+    util::checkDeadline();
+    const ssize_t r = ::read(fd, buf, sizeof buf);
+    if (r > 0) {
+      bytes.append(buf, static_cast<std::size_t>(r));
+      continue;
+    }
+    if (r == 0 && (!fifo || !bytes.empty())) return bytes;
+    if (r < 0 && errno != EINTR && !(fifo && (errno == EAGAIN || errno == EWOULDBLOCK)))
+      throw fail();
+    // A FIFO with no writer yet (r==0 with nothing read) or momentarily
+    // empty: park.
+    if (fifo) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// Refuses a side-file path that exists and is not a regular file. Run
+/// before the request has any effect, so the refusal commits nothing.
+void requireRegularOrAbsent(const std::string& field, const std::string& path) {
+  struct stat st {};
+  if (!path.empty() && ::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode))
+    throw notRegularFile(field, path, st.st_mode);
+}
+
+/// Writes a side file named by a request. Like readInputFile, the open
+/// never blocks and the opened file must be regular, so a path turned
+/// into a FIFO after requireRegularOrAbsent fails instead of holding the
+/// dispatcher. False on any failure.
+bool writeOutputFile(const std::string& path, const std::string& bytes) {
+  const int fd = ::open(path.c_str(),
+                        O_WRONLY | O_CREAT | O_TRUNC | O_NONBLOCK | O_CLOEXEC | O_NOCTTY,
+                        0666);
+  if (fd < 0) return false;
+  FdGuard guard{fd};
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) return false;
+  for (std::size_t done = 0; done < bytes.size();) {
+    const ssize_t w = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (w < 0 && errno == EINTR) continue;
+    if (w < 0) return false;
+    done += static_cast<std::size_t>(w);
+  }
+  return true;
+}
+
+/// Appends one failure to a response that may already carry one.
+void addError(Response& resp, const std::string& error) {
+  resp.ok = false;
+  if (!resp.error.empty()) resp.error += "; ";
+  resp.error += error;
 }
 
 /// Response fields + side files every successful routing request shares.
@@ -61,88 +154,14 @@ void fillRouteResponse(Response& resp, const core::PacorResult& result,
   resp.coldBuilds =
       static_cast<int>(result.metrics.getInt("escape.flow.cold_builds", -1));
   resp.ok = true;
-  // No side files for a cancelled (watchdog-abandoned) request: the caller
-  // was already answered with a deadline error, so a write here could only
-  // clobber the output of a retry racing this discarded execution.
-  if (cancelled(options.cancel)) return;
-  if (!options.solutionPath.empty())
-    core::writeSolutionFile(options.solutionPath, result);
-  if (!options.metricsPath.empty()) {
-    std::ofstream os(options.metricsPath);
-    os << "{\n  \"design\": \"" << result.design << "\",\n  \"metrics\": "
-       << result.metrics.toJson(/*pretty=*/true) << "\n}\n";
-    if (!os) {
-      resp.ok = false;
-      resp.error = "cannot write metrics file " + options.metricsPath;
-    }
-  }
-}
-
-}  // namespace
-
-namespace {
-
-/// Close-on-scope-exit for raw fds (the read paths below throw).
-struct FdGuard {
-  int fd;
-  ~FdGuard() {
-    if (fd >= 0) ::close(fd);
-  }
-};
-
-/// Chunked regular-file read, checking the cancel flag between chunks so
-/// an expired request stops holding its dispatcher on a large/slow file.
-std::string readFileCancellable(
-    const std::string& path, const std::shared_ptr<std::atomic<bool>>& cancel) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0)
-    throw std::runtime_error("cannot read chip file " + path + ": " +
-                             std::strerror(errno));
-  FdGuard guard{fd};
-  std::string bytes;
-  char buf[1 << 16];
-  for (;;) {
-    if (cancelled(cancel))
-      throw LoadError("deadline", "design load cancelled: " + path);
-    const ssize_t r = ::read(fd, buf, sizeof buf);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error("cannot read chip file " + path + ": " +
-                               std::strerror(errno));
-    }
-    if (r == 0) return bytes;
-    bytes.append(buf, static_cast<std::size_t>(r));
-  }
-}
-
-/// TEST-ONLY FIFO path: parks until a writer supplies the chip bytes,
-/// polling the cancel flag. Opened O_RDONLY|O_NONBLOCK so the open never
-/// blocks; a read of 0 before any byte means "no writer yet" (FIFO
-/// semantics), not EOF -- EOF is a 0 read after at least one byte.
-std::string readFifoCancellable(
-    const std::string& path, const std::shared_ptr<std::atomic<bool>>& cancel) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
-  if (fd < 0)
-    throw std::runtime_error("cannot open fifo design " + path + ": " +
-                             std::strerror(errno));
-  FdGuard guard{fd};
-  std::string bytes;
-  char buf[1 << 16];
-  for (;;) {
-    if (cancelled(cancel))
-      throw LoadError("deadline", "design load cancelled: " + path);
-    const ssize_t r = ::read(fd, buf, sizeof buf);
-    if (r > 0) {
-      bytes.append(buf, static_cast<std::size_t>(r));
-      continue;
-    }
-    if (r == 0 && !bytes.empty()) return bytes;  // writer closed after data
-    if (r < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)
-      throw std::runtime_error("cannot read fifo design " + path + ": " +
-                               std::strerror(errno));
-    // No writer yet (r==0 with nothing read) or momentarily empty: park.
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  if (!options.solutionPath.empty() &&
+      !writeOutputFile(options.solutionPath, resp.solutionText))
+    addError(resp, "cannot write solution file " + options.solutionPath);
+  if (!options.metricsPath.empty() &&
+      !writeOutputFile(options.metricsPath,
+                       "{\n  \"design\": \"" + result.design + "\",\n  \"metrics\": " +
+                           result.metrics.toJson(/*pretty=*/true) + "\n}\n"))
+    addError(resp, "cannot write metrics file " + options.metricsPath);
 }
 
 }  // namespace
@@ -155,26 +174,7 @@ chip::Chip loadDesign(const std::string& token, const LoadOptions& options) {
     return chip::generateFpvaChip(chip::parseFpvaSpec(token));
   for (const auto& params : chip::table1Designs())
     if (params.name == token) return chip::generateChip(params);
-  // Stat gate: only regular files are read as .chip paths. A FIFO (or a
-  // directory, or a device node) would block the dispatcher or feed it
-  // garbage; reject it with a structured err instead. Missing paths fall
-  // through to the plain error path below, keeping the old message.
-  struct stat st {};
-  if (::stat(token.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
-    if (S_ISFIFO(st.st_mode) && options.allowFifoDesigns) {
-      std::istringstream is(readFifoCancellable(token, options.cancel));
-      return chip::readChip(is);
-    }
-    const char* kind = S_ISFIFO(st.st_mode)  ? "a fifo"
-                       : S_ISDIR(st.st_mode) ? "a directory"
-                       : S_ISCHR(st.st_mode) || S_ISBLK(st.st_mode)
-                           ? "a device node"
-                           : "not a regular file";
-    throw LoadError("design",
-                    "design path " + token + " is " + kind +
-                        ", not a regular .chip file");
-  }
-  std::istringstream is(readFileCancellable(token, options.cancel));
+  std::istringstream is(readInputFile(token, "design", options.allowFifoDesigns));
   return chip::readChip(is);
 }
 
@@ -260,187 +260,12 @@ Server::Stats Server::stats() const {
   {
     std::lock_guard<std::mutex> lock(queueMutex_);
     s.deadlineExpired = deadlineExpired_;
-    s.dispatcherRecycles = dispatcherRecycles_;
   }
   {
     std::lock_guard<std::mutex> lock(contextsMutex_);
     s.evictions = evictions_;
   }
   return s;
-}
-
-Response Server::route(DesignContext& ctx, const RequestOptions& options) {
-  Response resp;
-
-  // Trace ownership is serialized explicitly: a traced request waits for
-  // every in-flight request to drain and runs alone, so its session is
-  // neither superseded mid-flight nor polluted by concurrent requests'
-  // spans. Untraced requests share the fence and run concurrently.
-  const bool traced = !options.tracePath.empty();
-  std::shared_lock<std::shared_mutex> shared(traceFence_, std::defer_lock);
-  std::unique_lock<std::shared_mutex> exclusive(traceFence_, std::defer_lock);
-  if (traced)
-    exclusive.lock();
-  else
-    shared.lock();
-
-  if (traced) ctx.traceSession().begin(options.traceLevel);
-  // The chip and template must stay put while this request routes; eco()
-  // takes the same lock exclusively to swap them.
-  std::shared_lock<std::shared_mutex> state(ctx.stateMutex_);
-  resp.design = ctx.chip_.name;
-  // One request at a time drives the persistent escape session; losers of
-  // the try-lock route through a request-local session (byte-identical,
-  // just without the cross-request warm start). Requests arriving through
-  // the submit() queue are serialized per design, so they win unless a
-  // watchdog recycle left an abandoned execution of this design still
-  // routing: routing does not poll the cancel flag, so that execution
-  // holds the lock until its route finishes. The try-lock keeps the next
-  // request from waiting behind it (see DesignContext::escapeMutex_).
-  std::unique_lock<std::mutex> sessionLock(ctx.escapeMutex_, std::try_to_lock);
-  try {
-    core::RouteResources resources;
-    resources.obstacleTemplate = &ctx.obstacleTemplate_;
-    if (sessionLock.owns_lock()) resources.escapeSession = &ctx.escapeSession_;
-    const core::PacorResult result =
-        core::routeChip(ctx.chip_, options.config, resources);
-    fillRouteResponse(resp, result, options);
-    std::lock_guard<std::mutex> cache(ctx.cacheMutex_);
-    ctx.lastResult_ = result;
-    ctx.lastConfig_ = options.config;
-    ctx.hasLast_ = true;
-  } catch (const std::exception& e) {
-    resp.ok = false;
-    resp.error = e.what();
-  }
-
-  if (traced) {
-    const std::vector<trace::Event> events = ctx.traceSession().end();
-    // Belt and braces: the fence makes supersession impossible here, but a
-    // discarded trace must be reported, never returned as "empty".
-    if (ctx.traceSession().superseded()) {
-      resp.traceDiscarded = true;
-      resp.ok = false;
-      if (!resp.error.empty()) resp.error += "; ";
-      resp.error += "trace discarded: session superseded by a concurrent request";
-    } else {
-      resp.traceSpans = static_cast<int>(events.size());
-      if (!trace::writeChromeTrace(options.tracePath, events)) {
-        resp.ok = false;
-        if (!resp.error.empty()) resp.error += "; ";
-        resp.error += "cannot write trace file " + options.tracePath;
-      }
-    }
-  }
-  return resp;
-}
-
-Response Server::route(const std::string& key, const chip::Chip& chip,
-                       const RequestOptions& options) {
-  // The shared_ptr is the pin: the context cannot be evicted-and-freed
-  // while this request routes against it.
-  const std::shared_ptr<DesignContext> ctx = context(key, [&] { return chip; });
-  return route(*ctx, options);
-}
-
-Response Server::eco(DesignContext& ctx, const chip::ChipDelta& delta,
-                     const RequestOptions& options) {
-  Response resp;
-
-  // Same trace-ownership discipline as route(); then the context's state
-  // lock is taken exclusively -- an eco edit replaces the chip and the
-  // obstacle template, so no request may route the design concurrently.
-  const bool traced = !options.tracePath.empty();
-  std::shared_lock<std::shared_mutex> shared(traceFence_, std::defer_lock);
-  std::unique_lock<std::shared_mutex> exclusive(traceFence_, std::defer_lock);
-  if (traced)
-    exclusive.lock();
-  else
-    shared.lock();
-
-  if (traced) ctx.traceSession().begin(options.traceLevel);
-  std::unique_lock<std::shared_mutex> state(ctx.stateMutex_);
-  // Uncontended given the exclusive state lock, but keeps the invariant
-  // that whoever routes through the persistent session holds this mutex.
-  std::unique_lock<std::mutex> sessionLock(ctx.escapeMutex_);
-  resp.design = ctx.chip_.name;
-  try {
-    const chip::Chip base = ctx.chip_;
-    core::RouteResources resources;
-    resources.escapeSession = &ctx.escapeSession_;
-
-    // The ECO base: the cached previous result when its config routes
-    // byte-identically under this request's config, else a fresh route of
-    // the pre-edit chip (paid once; subsequent eco requests chain).
-    bool havePrev = false;
-    core::PacorResult prev;
-    {
-      std::lock_guard<std::mutex> cache(ctx.cacheMutex_);
-      if (ctx.hasLast_ && configsEquivalent(ctx.lastConfig_, options.config)) {
-        prev = ctx.lastResult_;
-        havePrev = true;
-      }
-    }
-    if (!havePrev) {
-      core::RouteResources baseResources = resources;
-      baseResources.obstacleTemplate = &ctx.obstacleTemplate_;
-      prev = core::routeChip(base, options.config, baseResources);
-    }
-
-    core::EcoInfo info;
-    const core::PacorResult result =
-        core::rerouteChip(base, prev, delta, options.config, resources, &info);
-
-    // A watchdog-abandoned eco must not commit: the caller was already
-    // answered `err ... deadline` and may retry the same delta, so
-    // advancing chip_/obstacleTemplate_/lastResult_ here would make that
-    // retry double-apply the edit. The discarded response does not matter;
-    // the state update does. Checked under stateMutex_ (held exclusively
-    // since before the base route), immediately before the commit.
-    if (cancelled(options.cancel))
-      throw LoadError("deadline",
-                      "eco cancelled after its deadline expired; "
-                      "delta not committed");
-
-    // Commit the edited design: later requests (route or eco) see it.
-    ctx.chip_ = chip::apply(base, delta);
-    ctx.obstacleTemplate_ = core::makeRoutingObstacleTemplate(ctx.chip_);
-    {
-      std::lock_guard<std::mutex> cache(ctx.cacheMutex_);
-      ctx.lastResult_ = result;
-      ctx.lastConfig_ = options.config;
-      ctx.hasLast_ = true;
-    }
-    resp.design = ctx.chip_.name;
-    fillRouteResponse(resp, result, options);
-    resp.ecoMode = info.mode == core::EcoInfo::Mode::kIdentity ? "identity"
-                   : info.mode == core::EcoInfo::Mode::kIncremental
-                       ? "incremental"
-                       : "full";
-    resp.ecoDirty = info.dirtyClusters;
-    resp.ecoFrozen = info.frozenClusters;
-  } catch (const std::exception& e) {
-    resp.ok = false;
-    resp.error = e.what();
-  }
-
-  if (traced) {
-    const std::vector<trace::Event> events = ctx.traceSession().end();
-    if (ctx.traceSession().superseded()) {
-      resp.traceDiscarded = true;
-      resp.ok = false;
-      if (!resp.error.empty()) resp.error += "; ";
-      resp.error += "trace discarded: session superseded by a concurrent request";
-    } else {
-      resp.traceSpans = static_cast<int>(events.size());
-      if (!trace::writeChromeTrace(options.tracePath, events)) {
-        resp.ok = false;
-        if (!resp.error.empty()) resp.error += "; ";
-        resp.error += "cannot write trace file " + options.tracePath;
-      }
-    }
-  }
-  return resp;
 }
 
 // --- submit() queue tier -------------------------------------------------
@@ -463,26 +288,23 @@ Response deadlineResponse(const std::string& design, std::int64_t deadlineMs,
 
 }  // namespace
 
-Response Server::execute(const Request& req,
-                         const std::shared_ptr<std::atomic<bool>>& cancel) {
+Response Server::execute(const Pending& pending) {
+  const Request& req = pending.req;
   Response resp;
   resp.design = req.design;
+  core::RouteResources resources;
+  // The load and the route run under the request's deadline: every poll
+  // on this thread (read chunks, generator rows, routing unit boundaries)
+  // throws util::DeadlineExceeded once it has passed.
+  const util::DeadlineScope deadlineScope(pending.deadline);
   try {
     LoadOptions loadOptions;
-    loadOptions.cancel = cancel;
     // admission_ is written once in startDispatch, before any dispatcher
     // (the only execute() caller) exists.
     loadOptions.allowFifoDesigns = admission_.allowFifoDesigns;
     const std::shared_ptr<DesignContext> pinned = context(
         req.design, [&req, &loadOptions] { return loadDesign(req.design, loadOptions); });
     DesignContext& ctx = *pinned;
-    // The watchdog already answered the caller: skip the (discarded)
-    // routing work and free the dispatcher for live requests.
-    if (cancelled(cancel)) {
-      resp.ok = false;
-      resp.error = "request cancelled after its deadline expired";
-      return resp;
-    }
     if (req.verb == Verb::kGen) {
       // Warm-up only: the context (chip + obstacle template) now exists,
       // so the first routing request of this design skips the load.
@@ -493,12 +315,108 @@ Response Server::execute(const Request& req,
       resp.genObstacles = static_cast<int>(ctx.chip().obstacles.size());
       return resp;
     }
-    RequestOptions options = optionsFor(req);
-    options.cancel = cancel;  // guards side-file writes and the eco commit
-    resp = req.verb == Verb::kEco
-               ? eco(ctx, chip::readDeltaFile(req.deltaPath), options)
-               : route(ctx, options);
-    resp.design = req.design;  // report the request token, not chip.name
+    const RequestOptions options = optionsFor(req);
+    // Every client-named file is checked before the request has an
+    // effect: side files must be regular or absent, and the delta is read
+    // like a design file, so no path can park this dispatcher in an open.
+    requireRegularOrAbsent("sol", options.solutionPath);
+    requireRegularOrAbsent("metrics", options.metricsPath);
+    requireRegularOrAbsent("trace", options.tracePath);
+    std::optional<chip::ChipDelta> delta;
+    if (req.verb == Verb::kEco) {
+      std::istringstream is(readInputFile(req.deltaPath, "delta", false));
+      delta = chip::readDelta(is);
+    }
+
+    // Trace ownership is serialized explicitly: a traced request waits for
+    // every in-flight request to drain and runs alone, so its session is
+    // neither superseded mid-flight nor polluted by concurrent requests'
+    // spans. Untraced requests share the fence and run concurrently.
+    const bool traced = !options.tracePath.empty();
+    std::shared_lock<std::shared_mutex> shared(traceFence_, std::defer_lock);
+    std::unique_lock<std::shared_mutex> exclusive(traceFence_, std::defer_lock);
+    if (traced)
+      exclusive.lock();
+    else
+      shared.lock();
+    if (traced) ctx.traceSession().begin(options.traceLevel);
+    resources.escapeSession = &ctx.escapeSession_;
+    try {
+      if (delta) {
+        // An eco edit replaces the chip and the obstacle template, so no
+        // request may read the design concurrently.
+        std::unique_lock<std::shared_mutex> state(ctx.stateMutex_);
+        // The ECO base: the cached previous result when its config routes
+        // byte-identically under this request's config, else a fresh route
+        // of the pre-edit chip (paid once; subsequent eco requests chain).
+        std::optional<core::PacorResult> prev;
+        {
+          std::lock_guard<std::mutex> cache(ctx.cacheMutex_);
+          if (ctx.hasLast_ && configsEquivalent(ctx.lastConfig_, options.config))
+            prev = ctx.lastResult_;
+        }
+        if (!prev) {
+          core::RouteResources baseResources = resources;
+          baseResources.obstacleTemplate = &ctx.obstacleTemplate_;
+          prev = core::routeChip(ctx.chip_, options.config, baseResources);
+        }
+        core::EcoInfo info;
+        const core::PacorResult result = core::rerouteChip(
+            ctx.chip_, *prev, *delta, options.config, resources, &info);
+        // Routing is done, so the deadline no longer applies: from here on
+        // the edit commits and the request is answered `ok`.
+        ctx.chip_ = chip::apply(ctx.chip_, *delta);
+        ctx.obstacleTemplate_ = core::makeRoutingObstacleTemplate(ctx.chip_);
+        {
+          std::lock_guard<std::mutex> cache(ctx.cacheMutex_);
+          ctx.lastResult_ = result;
+          ctx.lastConfig_ = options.config;
+          ctx.hasLast_ = true;
+        }
+        fillRouteResponse(resp, result, options);
+        resp.ecoMode = info.mode == core::EcoInfo::Mode::kIdentity ? "identity"
+                       : info.mode == core::EcoInfo::Mode::kIncremental
+                           ? "incremental"
+                           : "full";
+        resp.ecoDirty = info.dirtyClusters;
+        resp.ecoFrozen = info.frozenClusters;
+      } else {
+        // The chip and template must stay put while this request routes.
+        std::shared_lock<std::shared_mutex> state(ctx.stateMutex_);
+        resources.obstacleTemplate = &ctx.obstacleTemplate_;
+        const core::PacorResult result =
+            core::routeChip(ctx.chip_, options.config, resources);
+        fillRouteResponse(resp, result, options);
+        std::lock_guard<std::mutex> cache(ctx.cacheMutex_);
+        ctx.lastResult_ = result;
+        ctx.lastConfig_ = options.config;
+        ctx.hasLast_ = true;
+      }
+    } catch (const util::DeadlineExceeded&) {
+      // Left active, the session would record every later request.
+      if (traced) ctx.traceSession().end();
+      throw;
+    } catch (const std::exception& e) {
+      resp.ok = false;
+      resp.error = e.what();
+    }
+
+    if (traced) {
+      const std::vector<trace::Event> events = ctx.traceSession().end();
+      // Belt and braces: the fence makes supersession impossible here, but
+      // a discarded trace must be reported, never returned as "empty".
+      if (ctx.traceSession().superseded()) {
+        resp.traceDiscarded = true;
+        addError(resp, "trace discarded: session superseded by a concurrent request");
+      } else {
+        resp.traceSpans = static_cast<int>(events.size());
+        if (!writeOutputFile(options.tracePath, trace::toChromeJson(events)))
+          addError(resp, "cannot write trace file " + options.tracePath);
+      }
+    }
+  } catch (const util::DeadlineExceeded&) {
+    // The load or the route stopped at its deadline before any effect.
+    return deadlineResponse(req.design, pending.deadlineMs, "executing");
   } catch (const LoadError& e) {
     // Structured: the client can tell a bad design token from a routing
     // failure. Renders as `err <design> field=<field> <reason>`.
@@ -519,7 +437,7 @@ void Server::startDispatch(const AdmissionOptions& admission) {
   admission_ = admission;
   admission_.maxInflight = std::max(1, admission_.maxInflight);
   maxDesigns_.store(admission_.maxDesigns, std::memory_order_relaxed);
-  dispatchers_.reserve(static_cast<std::size_t>(admission_.maxInflight) + 1);
+  dispatchers_.reserve(static_cast<std::size_t>(admission_.maxInflight));
   for (int i = 0; i < admission_.maxInflight; ++i)
     dispatchers_.emplace_back([this] { dispatchLoop(); });
   watchdog_ = std::thread([this] { watchdogLoop(); });
@@ -553,14 +471,13 @@ std::future<Response> Server::submit(Request req) {
                                        ? pending.req.deadlineMs
                                        : admission_.defaultDeadlineMs;
   if (effectiveMs > 0) {
-    pending.hasDeadline = true;
     pending.deadlineMs = effectiveMs;
     pending.deadline = Clock::now() + std::chrono::milliseconds(effectiveMs);
   }
   DesignQueue& dq = queues_[key];
   // Not yet listed runnable and no dispatcher on it: enqueue the design.
   const bool listDesign = dq.fifo.empty() && !dq.running;
-  const bool armWatchdog = pending.hasDeadline;
+  const bool armWatchdog = effectiveMs > 0;
   dq.fifo.push_back(std::move(pending));
   std::future<Response> fut = dq.fifo.back().promise.get_future();
   ++waiting_;
@@ -574,75 +491,36 @@ void Server::dispatchLoop() {
   std::unique_lock<std::mutex> lock(queueMutex_);
   for (;;) {
     workCv_.wait(lock, [this] { return stopping_ || !runnable_.empty(); });
-    if (runnable_.empty()) {
-      if (stopping_) return;
-      continue;
-    }
+    if (runnable_.empty()) return;  // stopping, and nothing left to run
     const std::string key = std::move(runnable_.front());
     runnable_.pop_front();
     DesignQueue& dq = queues_[key];  // recreates the node if it was reaped
-    // A dispatcher is already on this design (stale or duplicate listing):
-    // skip WITHOUT dispatching, so same-design requests stay serialized.
-    // No work is lost -- whoever clears `running` (the executing
-    // dispatcher finishing, or the watchdog recycling its slot) re-lists
-    // the key when the fifo still has entries.
+    // A listed design never has a dispatcher on it or an empty fifo (the
+    // watchdog retracts the listing of a design its sweep empties). Skip
+    // either case without dispatching, so same-design requests stay
+    // serialized even if that ever breaks.
     if (dq.running) continue;
-    if (dq.fifo.empty()) {  // watchdog swept the queued request(s)
-      queues_.erase(key);   // empty + idle: drop the node, see watchdogLoop
+    if (dq.fifo.empty()) {
+      queues_.erase(key);
       continue;
     }
     Pending pending = std::move(dq.fifo.front());
     dq.fifo.pop_front();
     --waiting_;
-    // Enforcement point 1: already past its deadline when popped --
-    // answer without dispatching (no load, no route, no context touch).
-    if (pending.hasDeadline && Clock::now() >= pending.deadline) {
-      ++deadlineExpired_;
-      if (!dq.fifo.empty()) {
-        runnable_.push_back(key);
-        workCv_.notify_one();
-      } else {
-        queues_.erase(key);
-      }
-      if (waiting_ == 0 && executing_ == 0) idleCv_.notify_all();
-      lock.unlock();
-      pending.promise.set_value(
-          deadlineResponse(pending.req.design, pending.deadlineMs, "queued"));
-      lock.lock();
-      continue;
-    }
     dq.running = true;
     ++executing_;
-    // Enforcement point 2/3 plumbing: the in-flight record the watchdog
-    // sweeps, carrying the cancel flag the load path polls.
-    auto inflight = std::make_shared<Inflight>();
-    inflight->design = key;
-    inflight->hasDeadline = pending.hasDeadline;
-    inflight->deadlineMs = pending.deadlineMs;
-    inflight->deadline = pending.deadline;
-    inflight->promise = std::move(pending.promise);
-    inflight_.push_back(inflight);
-    if (inflight->hasDeadline) watchdogCv_.notify_one();
     lock.unlock();
 
-    Response resp = execute(pending.req, inflight->cancel);
+    // This thread alone answers the request. Already past its deadline
+    // when popped, it is answered without a load or a route; otherwise
+    // execute() runs it under the deadline and returns in bounded time.
+    Response resp =
+        Clock::now() >= pending.deadline
+            ? deadlineResponse(pending.req.design, pending.deadlineMs, "queued")
+            : execute(pending);
 
     lock.lock();
-    if (inflight->abandoned) {
-      // The watchdog expired this request mid-execution: it already
-      // answered the caller, released the design slot, and spawned a
-      // replacement dispatcher. This thread's slot is gone -- record the
-      // id so the watchdog can join-and-drop the handle (dispatchers_
-      // must not grow by one per recycle forever), discard the result,
-      // and exit. An abandoned thread always gets here, but not promptly:
-      // the design load polls the cancel flag, routing does not. A thread
-      // abandoned mid-route first runs that route to completion, so it
-      // lingers for the route's own running time, not the deadline.
-      finishedDispatchers_.push_back(std::this_thread::get_id());
-      watchdogCv_.notify_one();  // reap this handle promptly
-      return;
-    }
-    inflight_.remove(inflight);
+    if (resp.deadlineExpired) ++deadlineExpired_;
     --executing_;
     dq.running = false;
     // FIFO across designs too: a design with more work re-queues at the
@@ -657,69 +535,35 @@ void Server::dispatchLoop() {
     }
     if (waiting_ == 0 && executing_ == 0) idleCv_.notify_all();
     lock.unlock();
-    inflight->promise.set_value(std::move(resp));
+    pending.promise.set_value(std::move(resp));
     lock.lock();
   }
 }
 
-/// Joins dispatcher threads that exited after a watchdog recycle and drops
-/// their handles from dispatchers_. Each id in finishedDispatchers_ was
-/// recorded by the exiting thread itself under queueMutex_ immediately
-/// before returning, so by the time the watchdog (which also holds
-/// queueMutex_) sees an id, that thread has released the mutex and is in
-/// its exit epilogue -- the join is near-instant and cannot deadlock.
-/// Caller holds queueMutex_.
-void Server::reapDispatchersLocked() {
-  for (const std::thread::id id : finishedDispatchers_) {
-    for (auto it = dispatchers_.begin(); it != dispatchers_.end(); ++it) {
-      if (it->get_id() == id) {
-        it->join();
-        dispatchers_.erase(it);
-        break;
-      }
-    }
-  }
-  finishedDispatchers_.clear();
-}
-
 void Server::watchdogLoop() {
   std::unique_lock<std::mutex> lock(queueMutex_);
-  for (;;) {
-    if (stopping_) return;
-    // Sleep until the earliest live deadline (queued or executing), or
-    // until submit()/dispatchLoop() arms a new one.
-    bool haveDeadline = false;
-    Clock::time_point next{};
-    const auto consider = [&](bool has, Clock::time_point tp) {
-      if (!has) return;
-      if (!haveDeadline || tp < next) next = tp;
-      haveDeadline = true;
-    };
+  while (!stopping_) {
+    // Sleep until the earliest queued deadline, or until submit() arms a
+    // new one. Executing requests stop at their deadline by themselves.
+    util::Deadline next = util::kNoDeadline;
     for (const auto& [key, dq] : queues_)
-      for (const Pending& p : dq.fifo) consider(p.hasDeadline, p.deadline);
-    for (const auto& inf : inflight_) consider(inf->hasDeadline, inf->deadline);
-    if (haveDeadline)
+      for (const Pending& p : dq.fifo) next = std::min(next, p.deadline);
+    if (next != util::kNoDeadline)
       watchdogCv_.wait_until(lock, next);
     else
       watchdogCv_.wait(lock);
     if (stopping_) return;
 
-    // Join-and-drop dispatcher handles decommissioned by earlier recycles
-    // (their threads have exited or are about to), so a long-lived server
-    // does not grow dispatchers_ by one thread per recycle forever.
-    reapDispatchersLocked();
-
+    // Sweep the waiting queues: an expired request queued behind a busy
+    // (or parked) design is answered here -- it would otherwise wait for
+    // a dispatcher that frees up only after its deadline.
     const Clock::time_point now = Clock::now();
     std::vector<std::promise<Response>> promises;
     std::vector<Response> answers;
-
-    // Sweep the waiting queues: an expired request queued behind a parked
-    // (or merely busy) design is answered here -- it would otherwise wait
-    // forever on a dispatcher that never frees up.
     for (auto qit = queues_.begin(); qit != queues_.end();) {
       DesignQueue& dq = qit->second;
       for (auto it = dq.fifo.begin(); it != dq.fifo.end();) {
-        if (it->hasDeadline && now >= it->deadline) {
+        if (now >= it->deadline) {
           ++deadlineExpired_;
           --waiting_;
           answers.push_back(
@@ -743,37 +587,6 @@ void Server::watchdogLoop() {
         qit = queues_.erase(qit);
       } else {
         ++qit;
-      }
-    }
-
-    // Sweep the in-flight set: answer the caller, cancel the execution,
-    // and recycle the dispatcher slot -- the stuck thread is decommissioned
-    // (it discards its result and exits when its blocking step notices the
-    // cancel flag), a replacement thread keeps concurrency at maxInflight,
-    // and the design's FIFO resumes draining immediately.
-    for (auto it = inflight_.begin(); it != inflight_.end();) {
-      Inflight& inf = **it;
-      if (inf.hasDeadline && now >= inf.deadline) {
-        inf.abandoned = true;
-        inf.cancel->store(true, std::memory_order_relaxed);
-        ++deadlineExpired_;
-        ++dispatcherRecycles_;
-        --executing_;
-        DesignQueue& dq = queues_[inf.design];
-        dq.running = false;
-        if (!dq.fifo.empty()) {
-          runnable_.push_back(inf.design);
-          workCv_.notify_one();
-        } else {
-          queues_.erase(inf.design);
-        }
-        dispatchers_.emplace_back([this] { dispatchLoop(); });
-        answers.push_back(
-            deadlineResponse(inf.design, inf.deadlineMs, "executing"));
-        promises.push_back(std::move(inf.promise));
-        it = inflight_.erase(it);
-      } else {
-        ++it;
       }
     }
 
@@ -804,12 +617,6 @@ void Server::drainAndStop() {
     workers.swap(dispatchers_);
     watchdog.swap(watchdog_);
   }
-  // Joins wait for decommissioned threads too. One abandoned during its
-  // design load exits as soon as the load sees the cancel flag; one
-  // abandoned mid-route exits only when that route completes, because
-  // routing does not poll the flag. Every route terminates (its loops are
-  // iteration-capped), so a join is bounded by the longest abandoned
-  // route's running time -- not by any deadline.
   for (std::thread& t : workers) t.join();
   if (watchdog.joinable()) watchdog.join();
 }

@@ -19,13 +19,13 @@
 #include <vector>
 
 #include "chip/chip.hpp"
-#include "chip/delta.hpp"
 #include "grid/obstacle_map.hpp"
 #include "pacor/config.hpp"
 #include "pacor/pipeline.hpp"
 #include "pacor/result.hpp"
 #include "serve/protocol.hpp"
 #include "trace/trace.hpp"
+#include "util/deadline.hpp"
 
 namespace pacor::serve {
 
@@ -43,13 +43,8 @@ class LoadError : public std::runtime_error {
   std::string reason;
 };
 
-/// Knobs of the cancellable design-load path.
+/// Knobs of the design-load path.
 struct LoadOptions {
-  /// Per-request cancel flag: checked between read chunks (and while
-  /// parked on a FIFO), so a request whose deadline expired stops
-  /// occupying its dispatcher in bounded time. Null = never cancelled.
-  std::shared_ptr<std::atomic<bool>> cancel;
-
   /// TEST-ONLY escape hatch: allow a named pipe (FIFO) as a .chip path.
   /// The read parks until a writer supplies the bytes -- exactly what the
   /// drain/deadline tests need to hold a dispatcher at a known point.
@@ -64,11 +59,13 @@ struct LoadOptions {
 /// read as a .chip file path. The token doubles as the server's context
 /// (and queue-affinity) key.
 ///
-/// File paths are stat-gated: only regular files are read (in chunks,
-/// checking `options.cancel` between chunks); FIFOs, directories, and
-/// device nodes throw a structured LoadError -- unless
-/// `options.allowFifoDesigns` admits FIFOs through the cancellable
-/// parked-read path. Unknown/unreadable designs throw.
+/// File paths are opened without blocking and checked with fstat: only
+/// regular files are read; FIFOs, directories, and device nodes throw a
+/// structured LoadError -- unless `options.allowFifoDesigns` admits FIFOs
+/// through a parked read. The load polls the calling thread's deadline
+/// (util::DeadlineScope) between read chunks, while parked, and per row
+/// of a generated FPVA, throwing util::DeadlineExceeded once it has
+/// passed. Unknown/unreadable designs throw.
 chip::Chip loadDesign(const std::string& token, const LoadOptions& options);
 chip::Chip loadDesign(const std::string& token);
 
@@ -76,11 +73,11 @@ chip::Chip loadDesign(const std::string& token);
 /// chip (mutated only by ECO edits), the routing obstacle template (static
 /// obstacles + blocked boundary cells, derived once instead of per
 /// request), the design's persistent EscapeFlowSession (warm-rebound into
-/// each request that wins the try-lock; see Server::route), the previous
-/// routed result for ECO chains, and this design's trace session handle.
-/// A request routes entirely on the thread that executes it (a dispatcher,
-/// or the caller of route()/eco()), whose thread-local RouterWorkspace
-/// survives across requests without being owned here.
+/// every request of the design), the previous routed result for ECO
+/// chains, and this design's trace session handle. The design's FIFO in
+/// Server::submit runs its requests one at a time, and a request routes
+/// entirely on the dispatcher thread that popped it, whose thread-local
+/// RouterWorkspace survives across requests without being owned here.
 class DesignContext {
  public:
   explicit DesignContext(chip::Chip chip);
@@ -99,28 +96,27 @@ class DesignContext {
   grid::ObstacleMap obstacleTemplate_;
   trace::Session traceSession_;
 
-  /// ECO fence: route() holds it shared (the chip and template must stay
-  /// put while a request routes), eco() exclusively (it swaps both for the
-  /// edited design). Acquired after the server's trace fence, always.
+  /// ECO fence: a route or gen holds it shared (the chip and template
+  /// must stay put while a request reads them), an eco exclusively (it
+  /// swaps both for the edited design). Every use is inside
+  /// Server::execute, under the design's FIFO, so it is uncontended; a
+  /// caller holding a context pin (Server::context) reads chip() and
+  /// obstacleTemplate() without it and gets no consistency guarantee
+  /// against a concurrent eco request. Acquired after the server's trace
+  /// fence, always.
   mutable std::shared_mutex stateMutex_;
 
-  /// Persistent escape-flow session of this design. One request at a time
-  /// may drive it: route() try-locks escapeMutex_ and the winner passes
-  /// the slot into routeChip (which warm-rebinds or lazily builds it);
-  /// losers route with a request-local session, byte-identical either
-  /// way. The submit() queue tier serializes same-design requests, so
-  /// queued traffic normally wins this lock and lands warm. The exception
-  /// is a watchdog recycle: routing does not poll the cancel flag, so the
-  /// abandoned execution keeps routing and keeps this lock until its route
-  /// finishes, and the design's next request loses the try-lock. That is
-  /// why this is a try-lock: the next request routes cold at once instead
-  /// of waiting behind a route nobody can cancel.
-  std::mutex escapeMutex_;
+  /// Persistent escape-flow session of this design, passed into every
+  /// routeChip/rerouteChip of the design (which warm-rebinds or lazily
+  /// builds it). The design's FIFO is its only lock: it runs one request
+  /// at a time, and no execution outlives its turn, because a request
+  /// past its deadline stops routing instead of being abandoned.
   std::unique_ptr<core::EscapeFlowSession> escapeSession_;
 
   /// Most recent routed result + the config that produced it: the `prev`
   /// an ECO request chains from when the configs are output-equivalent
-  /// (otherwise eco() re-routes the base once before applying the edit).
+  /// (otherwise an eco request re-routes the base once before applying
+  /// the edit). Like stateMutex_, every use is inside Server::execute.
   std::mutex cacheMutex_;
   bool hasLast_ = false;
   core::PacorConfig lastConfig_;
@@ -158,37 +154,36 @@ struct AdmissionOptions {
 };
 
 /// Long-lived request loop state: one DesignContext per distinct design.
-/// Each request runs on one thread from start to finish. Requests may be
-/// submitted from any number of threads concurrently; each gets an
-/// isolated result (own MetricsRegistry, request-scoped search counters)
-/// that is byte-identical to a fresh one-shot routeChip of the same chip
-/// and config.
+/// submit() is the one entry point: each request joins its design's FIFO
+/// queue, design queues run one request at a time (so repeat traffic lands
+/// on the warm EscapeFlowSession and obstacle template), distinct designs
+/// run concurrently on up to AdmissionOptions::maxInflight dispatcher
+/// threads, and a bounded waiting queue sheds load with `busy` responses
+/// past the high-water mark. Both the batch manifest loop and the socket
+/// front end are thin adapters over submit(). Requests may be submitted
+/// from any number of threads concurrently; each runs on one dispatcher
+/// from start to finish and gets an isolated result (own MetricsRegistry,
+/// request-scoped search counters) that is byte-identical to a fresh
+/// one-shot routeChip of the same chip and config.
 ///
-/// Two tiers share the same execution core:
-///  * route()/eco() -- direct, caller-threaded execution against a held
-///    context (concurrent same-design callers race the escape-session
-///    try-lock; losers run a request-local session, byte-identical).
-///  * submit() -- the queued front-end tier: each request joins its
-///    design's FIFO queue, design queues run one request at a time (so
-///    repeat traffic lands on the warm EscapeFlowSession and obstacle
-///    template; see DesignContext::escapeMutex_ for the one exception),
-///    distinct designs run concurrently on up to
-///    AdmissionOptions::maxInflight dispatcher threads, and a bounded
-///    waiting queue sheds load with `busy` responses past the high-water
-///    mark. Both the batch manifest loop and the socket front end are
-///    thin adapters over submit().
-///
-/// Liveness (submit tier only): every request may carry a deadline
-/// (deadline_ms= or AdmissionOptions::defaultDeadlineMs). It is enforced
-/// at three points -- a request already past its deadline when a
-/// dispatcher pops it is answered `err ... field=deadline` without
-/// dispatch; design loads run on a cancellable chunked-read path so a
-/// parked file can be abandoned; and a watchdog thread sweeps both the
-/// waiting queues and the in-flight set, answering expired requests and
-/// recycling a stuck dispatcher's slot (see dispatchLoop) so the
-/// per-design FIFO keeps draining. Cached DesignContexts are LRU-bounded
-/// by AdmissionOptions::maxDesigns with pinned-while-in-use shared_ptr
-/// refcounts, so eviction never races an executing route.
+/// Liveness: every request may carry a deadline (deadline_ms= or
+/// AdmissionOptions::defaultDeadlineMs). The dispatcher that pops a
+/// request is the only code that answers it. A request already past its
+/// deadline when popped is answered `err ... field=deadline ... (queued)`
+/// without a load or a route. Otherwise the dispatcher installs the
+/// deadline as its thread's util::DeadlineScope for the design load and
+/// the route: the load polls it between read chunks and routing polls it
+/// at unit boundaries (see core::routeChip), so an expired execution stops
+/// by itself and is answered `(executing)`. Such an `err` means the
+/// request had no effect; `ok` means it committed, even if it finished
+/// after its deadline. No client-named path can park a dispatcher where
+/// nothing polls: designs and deltas are opened without blocking and must
+/// be regular files, and `sol=`/`metrics=`/`trace=` paths must be regular
+/// files or absent. A watchdog thread answers requests that expire while
+/// still waiting in a design queue, so a request queued behind
+/// deadline-less work is answered on time. Cached DesignContexts are
+/// LRU-bounded by AdmissionOptions::maxDesigns with pinned-while-in-use
+/// shared_ptr refcounts, so eviction never races an executing route.
 class Server {
  public:
   Server() = default;
@@ -204,31 +199,14 @@ class Server {
   /// Loads run without the cache lock, so a slow (or parked) load of one
   /// design never blocks lookups of another; two concurrent first-touch
   /// loads of the same key race benignly (first insert wins, the loser's
-  /// copy is dropped).
+  /// copy is dropped). A context installed before submit() is what the
+  /// server routes for that key, so a caller can serve a chip object that
+  /// no design token names.
   std::shared_ptr<DesignContext> context(
       const std::string& key, const std::function<chip::Chip()>& load);
 
   /// True while `key` has a live cached context (i.e. not yet evicted).
   bool hasContext(const std::string& key) const;
-
-  /// Routes one request against a held context.
-  Response route(DesignContext& ctx, const RequestOptions& options);
-
-  /// Convenience: get-or-create the context for `key` from `chip`, then
-  /// route. Later calls with the same key reuse the cached context (the
-  /// chip argument is ignored then).
-  Response route(const std::string& key, const chip::Chip& chip,
-                 const RequestOptions& options);
-
-  /// Applies an ECO edit script to a held context and re-routes
-  /// incrementally (core::rerouteChip) against the context's cached
-  /// previous result -- routing the pre-edit chip first when no previous
-  /// result exists or it came from an output-inequivalent config. On
-  /// success the context's chip, obstacle template, and result cache are
-  /// advanced to the edited design, so eco requests chain. Runs
-  /// exclusively against concurrent route() calls on the same context.
-  Response eco(DesignContext& ctx, const chip::ChipDelta& delta,
-               const RequestOptions& options);
 
   /// Starts the dispatcher threads with the given limits. Idempotent
   /// (later calls are ignored); submit() starts it with defaults when the
@@ -238,9 +216,17 @@ class Server {
   /// Queues one typed request on its design's FIFO and returns the future
   /// response. Never blocks on routing work: past the waiting-queue
   /// high-water mark (or while draining) the returned future is already
-  /// resolved to a `busy` response. Design resolution (generate or .chip
-  /// read) happens on the dispatcher thread; its failure resolves the
-  /// future to an `error` response.
+  /// resolved to a `busy` response. Design resolution (the cached context,
+  /// else generate or .chip read) happens on the dispatcher thread; its
+  /// failure resolves the future to an `error` response.
+  ///
+  /// A route re-routes the design's current state. An eco applies its
+  /// edit script and re-routes incrementally (core::rerouteChip) against
+  /// the design's cached previous result -- routing the pre-edit chip
+  /// first when no previous result exists or it came from an
+  /// output-inequivalent config -- then advances the design's chip,
+  /// obstacle template and result cache, so eco requests chain. A gen
+  /// only loads the design into its context.
   std::future<Response> submit(Request req);
 
   /// Stops admitting: every later submit() resolves to `busy draining`.
@@ -263,7 +249,6 @@ class Server {
   struct Stats {
     std::uint64_t deadlineExpired = 0;  ///< requests answered `err deadline`
     std::uint64_t evictions = 0;        ///< DesignContexts LRU-evicted
-    std::uint64_t dispatcherRecycles = 0;  ///< stuck slots the watchdog recycled
   };
   Stats stats() const;
 
@@ -273,40 +258,21 @@ class Server {
   struct Pending {
     Request req;
     std::promise<Response> promise;
-    bool hasDeadline = false;
     std::int64_t deadlineMs = 0;  ///< the effective value, for the err text
-    Clock::time_point deadline{};
+    util::Deadline deadline = util::kNoDeadline;
   };
   /// One design's FIFO. `running` marks a dispatcher executing its head;
   /// at most one dispatcher per design at a time -- that is the affinity
-  /// guarantee that keeps the warm escape session uncontended. (The
-  /// watchdog may clear `running` for a stuck execution; the abandoned
-  /// thread's result is discarded, so the guarantee holds for results.)
+  /// guarantee that keeps the warm escape session uncontended.
   struct DesignQueue {
     std::deque<Pending> fifo;
     bool running = false;
   };
-  /// One executing request, visible to the watchdog. `abandoned` is the
-  /// ownership handshake: whoever flips state under queueMutex_ first --
-  /// the dispatcher finishing or the watchdog expiring it -- answers the
-  /// promise; the other side discards.
-  struct Inflight {
-    std::string design;
-    bool hasDeadline = false;
-    std::int64_t deadlineMs = 0;
-    Clock::time_point deadline{};
-    std::shared_ptr<std::atomic<bool>> cancel =
-        std::make_shared<std::atomic<bool>>(false);
-    std::promise<Response> promise;
-    bool abandoned = false;
-  };
 
-  Response execute(const Request& req,
-                   const std::shared_ptr<std::atomic<bool>>& cancel);
+  Response execute(const Pending& pending);
   void dispatchLoop();
   void watchdogLoop();
   void maybeEvictLocked();
-  void reapDispatchersLocked();
 
   mutable std::mutex contextsMutex_;
   /// LRU-bounded context cache. The shared_ptr refcount doubles as the
@@ -321,7 +287,7 @@ class Server {
   std::list<std::string> lru_;
   std::uint64_t evictions_ = 0;
   /// Effective cap, mirrored out of AdmissionOptions at startDispatch so
-  /// direct route()/context() callers (no dispatch tier) share it.
+  /// context() callers before it share it.
   std::atomic<std::size_t> maxDesigns_{AdmissionOptions{}.maxDesigns};
 
   /// Trace ownership fence: tracing has one process-wide recorder, so a
@@ -344,21 +310,14 @@ class Server {
   /// by every token (including garbage paths) ever submitted.
   std::map<std::string, DesignQueue> queues_;
   std::deque<std::string> runnable_;  ///< designs with work, none executing
-  std::list<std::shared_ptr<Inflight>> inflight_;  ///< executing requests
   std::size_t waiting_ = 0;           ///< requests in fifos (not executing)
   int executing_ = 0;
   std::uint64_t deadlineExpired_ = 0;
-  std::uint64_t dispatcherRecycles_ = 0;
   bool draining_ = false;
   bool stopping_ = false;
   bool dispatchStarted_ = false;
   AdmissionOptions admission_;
   std::vector<std::thread> dispatchers_;
-  /// Ids of decommissioned dispatcher threads that have exited (each
-  /// recorded by the exiting thread under queueMutex_); the watchdog
-  /// joins and erases the matching dispatchers_ handles on its next pass,
-  /// so recycles do not accumulate dead thread handles without bound.
-  std::vector<std::thread::id> finishedDispatchers_;
   std::thread watchdog_;
 };
 

@@ -3,12 +3,15 @@
 // round must agree bit for bit -- escapes, costs and solver effort --
 // which is what lets the pipeline serve every rip-up round (and serve
 // requests) from one persistent session without moving the golden
-// solution hashes.
+// solution hashes. A route stopped by its deadline must leave that
+// session reusable.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -20,6 +23,8 @@
 #include "pacor/escape.hpp"
 #include "pacor/mst_routing.hpp"
 #include "pacor/pipeline.hpp"
+#include "pacor/solution_io.hpp"
+#include "util/deadline.hpp"
 
 namespace pacor {
 namespace {
@@ -175,6 +180,48 @@ TEST(IncrementalEscape, StagedReplayMatchesEscapeRoute) {
     }
     EXPECT_EQ(session.stats().warmRounds, 2);
     EXPECT_GT(session.stats().warmDeltaCells, 0);
+  }
+}
+
+TEST(RouteDeadline, CancelledRoutesLeaveTheEscapeSlotReusable) {
+  // Deadlines in turn -- already passed, then 1, 2, 4, ... ms -- until a
+  // route completes. Every cancelled call throws the typed exception, and
+  // the next deadline-free route on the same template and escape slot must
+  // give the one-shot bytes, warm once the slot exists: a cancel can land
+  // in any stage, mid-escape included. No timing is asserted.
+  const std::vector<chip::Chip> chips = {
+      chip::generateChip(chip::chip1Params()),
+      chip::generateFpvaChip(chip::parseFpvaSpec("fpva:40x40")),
+  };
+  for (const chip::Chip& chip : chips) {
+    SCOPED_TRACE(chip.name);
+    const core::PacorConfig config = core::pacorDefaultConfig();
+    const std::string oneShot = core::solutionToString(core::routeChip(chip, config));
+    const grid::ObstacleMap obstacleTemplate = core::makeRoutingObstacleTemplate(chip);
+    std::unique_ptr<core::EscapeFlowSession> slot;
+    core::RouteResources shared;
+    shared.obstacleTemplate = &obstacleTemplate;
+    shared.escapeSession = &slot;
+
+    int cancels = 0;
+    for (std::int64_t ms = -1;; ms = ms < 1 ? 1 : 2 * ms) {
+      SCOPED_TRACE(ms);
+      try {
+        const util::DeadlineScope scope(std::chrono::steady_clock::now() +
+                                        std::chrono::milliseconds(ms));
+        EXPECT_EQ(core::solutionToString(core::routeChip(chip, config, shared)), oneShot);
+        break;
+      } catch (const util::DeadlineExceeded&) {
+        ++cancels;
+      }
+      const bool slotExisted = slot != nullptr;
+      const core::PacorResult again = core::routeChip(chip, config, shared);
+      EXPECT_EQ(core::solutionToString(again), oneShot);
+      if (slotExisted) {
+        EXPECT_EQ(again.metrics.getInt("escape.flow.cold_builds", -1), 0);
+      }
+    }
+    EXPECT_GE(cancels, 2);  // the passed deadline and at least 1 ms
   }
 }
 

@@ -28,15 +28,18 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "chip/delta.hpp"
 #include "chip/generator.hpp"
 #include "chip/io.hpp"
 #include "pacor/pipeline.hpp"
@@ -278,10 +281,10 @@ class FifoDesign {
     }
   }
 
-  /// Spins until no reader holds the pipe open (an abandoned dispatcher
-  /// has noticed its cancel flag and closed the fd) -- after this, any
-  /// reader that appears belongs to a NEW request, so waitForReader/
-  /// release cannot feed bytes to the cancelled one by mistake.
+  /// Spins until no reader holds the pipe open (a stopped load has closed
+  /// its fd) -- after this, any reader that appears belongs to a NEW
+  /// request, so waitForReader/release cannot feed bytes to the stopped
+  /// one by mistake.
   void waitForNoReader() {
     for (;;) {
       const int fd = ::open(path_.c_str(), O_WRONLY | O_NONBLOCK);
@@ -425,7 +428,7 @@ TEST(ServeNet, GracefulDrainFinishesInflightAndRefusesLateConnects) {
                std::runtime_error);
 }
 
-// --- liveness: deadlines, watchdog, dispatcher recycling ----------------
+// --- liveness: deadlines and the watchdog ---------------------------------
 
 /// Shorthand: a future resolved within `seconds` (liveness tests must
 /// never hang the suite on the very bug they guard against).
@@ -481,7 +484,7 @@ TEST(ServeDeadline, ExpiresWhileQueuedBehindAParkedDesign) {
   EXPECT_GE(server.stats().deadlineExpired, 1u);
 }
 
-TEST(ServeDeadline, MidExecutionExpiryRecyclesTheDispatcherSlot) {
+TEST(ServeDeadline, ParkedLoadExpiryAnswersExecutingAndFreesTheSlot) {
   FifoDesign fifo("serve_deadline_exec.chip");
   serve::Server server;
   serve::AdmissionOptions admission;
@@ -489,8 +492,8 @@ TEST(ServeDeadline, MidExecutionExpiryRecyclesTheDispatcherSlot) {
   admission.allowFifoDesigns = true;
   server.startDispatch(admission);
 
-  // The executing request itself expires: the watchdog answers the caller
-  // and recycles the slot while the abandoned load is still parked.
+  // The executing request itself expires while its load is parked: the
+  // load polls the deadline, so the dispatcher stops it and answers.
   serve::Request stuck;
   stuck.design = fifo.path();
   stuck.deadlineMs = 200;
@@ -505,14 +508,15 @@ TEST(ServeDeadline, MidExecutionExpiryRecyclesTheDispatcherSlot) {
   EXPECT_NE(expired.error.find("(executing)"), std::string::npos)
       << expired.error;
 
-  // The recycled slot keeps serving other designs immediately...
+  // The freed slot serves other designs immediately...
   serve::Request other;
   other.design = "S1";
   auto otherFut = server.submit(std::move(other));
   EXPECT_TRUE(getWithin(otherFut, 60).ok);
 
-  // ...and once the cancelled reader has let go of the pipe, an identical
-  // request succeeds: the context was never built, so this run is cold.
+  // ...and an identical request succeeds (the stopped load closed its end
+  // of the pipe before the answer): the context was never built, so this
+  // run is cold.
   fifo.waitForNoReader();
   serve::Request retry;
   retry.design = fifo.path();
@@ -523,9 +527,7 @@ TEST(ServeDeadline, MidExecutionExpiryRecyclesTheDispatcherSlot) {
   EXPECT_TRUE(ok.ok) << ok.error;
   EXPECT_GT(ok.coldBuilds, 0);
 
-  const serve::Server::Stats stats = server.stats();
-  EXPECT_GE(stats.deadlineExpired, 1u);
-  EXPECT_GE(stats.dispatcherRecycles, 1u);
+  EXPECT_GE(server.stats().deadlineExpired, 1u);
 }
 
 TEST(ServeDeadline, ServerDefaultAppliesWhenTheRequestCarriesNone) {
@@ -640,6 +642,78 @@ TEST(ServeDeadline, EcoRequestsHonorGenerousDeadlines) {
   EXPECT_EQ(ecoResp.solutionHash, routed.solutionHash);
 }
 
+TEST(ServeDeadline, EcoAnsweredErrNeverCommitted) {
+  // Regression: the watchdog used to answer `(executing)` wherever an eco
+  // happened to be, so an eco that had already committed (and was still
+  // encoding its response) was reported expired, and a client retrying
+  // it applied the edit twice. Now `err ... field=deadline` means the eco
+  // had no effect and `ok` means it committed: every eco here adds one
+  // obstacle, with deadlines straddling its running time.
+  const std::string design = "fpva:64x64";
+  const chip::Chip chip = serve::loadDesign(design);
+  std::set<std::pair<std::int32_t, std::int32_t>> taken;
+  for (const chip::Valve& v : chip.valves) taken.insert({v.pos.x, v.pos.y});
+  for (const chip::ControlPin& p : chip.pins) taken.insert({p.pos.x, p.pos.y});
+  for (const geom::Point o : chip.obstacles) taken.insert({o.x, o.y});
+  constexpr int kEcos = 40;
+  std::vector<std::string> deltas;
+  for (std::int32_t y = 3; y + 3 < chip.routingGrid.height() &&
+                           static_cast<int>(deltas.size()) < kEcos;
+       y += 7)
+    for (std::int32_t x = 3; x + 3 < chip.routingGrid.width() &&
+                             static_cast<int>(deltas.size()) < kEcos;
+         x += 11) {
+      if (taken.contains({x, y})) continue;
+      chip::ChipDelta d;
+      d.addObstacle({x, y});
+      deltas.push_back(testing::TempDir() + "serve_eco_probe_" +
+                       std::to_string(deltas.size()) + ".delta");
+      chip::writeDeltaFile(deltas.back(), d);
+    }
+  ASSERT_EQ(static_cast<int>(deltas.size()), kEcos);
+
+  serve::Server server;
+  serve::AdmissionOptions admission;
+  admission.maxInflight = 2;
+  server.startDispatch(admission);
+  const auto call = [&server](serve::Request req) {
+    auto fut = server.submit(std::move(req));
+    return getWithin(fut, 600);
+  };
+  serve::Request warm;
+  warm.design = design;
+  ASSERT_TRUE(call(warm).ok);
+  serve::Request gen;
+  gen.verb = serve::Verb::kGen;
+  gen.design = design;
+  int obstacles = call(gen).genObstacles;
+
+  int committed = 0;
+  int expired = 0;
+  for (int i = 0; i < kEcos; ++i) {
+    SCOPED_TRACE(i);
+    serve::Request eco;
+    eco.verb = serve::Verb::kEco;
+    eco.design = design;
+    eco.deltaPath = deltas[static_cast<std::size_t>(i)];
+    eco.deadlineMs = i + 1;
+    const serve::Response resp = call(eco);
+    const int now = call(gen).genObstacles;
+    if (resp.ok) {
+      EXPECT_EQ(now, obstacles + 1) << "an ok eco must commit its edit";
+      ++committed;
+    } else {
+      EXPECT_TRUE(resp.deadlineExpired) << serve::formatResponse(resp);
+      EXPECT_EQ(now, obstacles) << "an err eco must have no effect";
+      ++expired;
+    }
+    obstacles = now;
+  }
+  // Deadlines of 1 ms expire; 40 ms cover an eco on a warm design.
+  EXPECT_GT(committed, 0);
+  EXPECT_GT(expired, 0);
+}
+
 // --- LRU design cache ----------------------------------------------------
 
 TEST(ServeLru, EvictionRebuildsTheDesignByteIdentically) {
@@ -736,6 +810,100 @@ TEST(ServeLoad, NonRegularDesignFilesGetStructuredErrors) {
   // Missing paths keep their historical plain-error shape (see
   // ExecutionErrorsComeBackAsErrorResponses): reject only what EXISTS and
   // is the wrong kind of file.
+}
+
+TEST(ServeLoad, NonRegularDeltaAndSideFilesAreRefusedWithoutBlocking) {
+  // Regression: the delta and the sol=/metrics=/trace= files were opened
+  // with blocking streams, so a FIFO named there parked the dispatcher
+  // forever where no deadline is polled. Every client-named path is now
+  // opened without blocking: the request is refused with a structured err
+  // on its field, at once, and has no effect.
+  const std::string fifoPath = testing::TempDir() + "serve_load_side.fifo";
+  ::unlink(fifoPath.c_str());
+  ASSERT_EQ(::mkfifo(fifoPath.c_str(), 0600), 0);
+  const chip::Chip s1 = serve::loadDesign("S1");
+  std::set<std::pair<std::int32_t, std::int32_t>> taken;
+  for (const chip::Valve& v : s1.valves) taken.insert({v.pos.x, v.pos.y});
+  for (const chip::ControlPin& p : s1.pins) taken.insert({p.pos.x, p.pos.y});
+  for (const geom::Point o : s1.obstacles) taken.insert({o.x, o.y});
+  geom::Point cell{2, 2};
+  while (taken.contains({cell.x, cell.y})) ++cell.x;
+  chip::ChipDelta edit;
+  edit.addObstacle(cell);
+  const std::string deltaPath = testing::TempDir() + "serve_load_side.delta";
+  chip::writeDeltaFile(deltaPath, edit);
+
+  // One dispatcher: a request parked in an open would hold it for good.
+  serve::Server server;
+  serve::AdmissionOptions admission;
+  admission.maxInflight = 1;
+  server.startDispatch(admission);
+  const auto call = [&server](serve::Request req, int seconds) {
+    auto fut = server.submit(std::move(req));
+    return getWithin(fut, seconds);
+  };
+  const auto obstacles = [&call] {
+    serve::Request gen;
+    gen.verb = serve::Verb::kGen;
+    gen.design = "S1";
+    return call(gen, 60).genObstacles;
+  };
+  const auto ecoRequest = [&](const std::string& delta) {
+    serve::Request eco;
+    eco.verb = serve::Verb::kEco;
+    eco.design = "S1";
+    eco.deltaPath = delta;
+    eco.deadlineMs = 200;
+    return eco;
+  };
+  const int before = obstacles();
+
+  const serve::Response fifoDelta = call(ecoRequest(fifoPath), 2);
+  EXPECT_EQ(serve::formatResponse(fifoDelta).rfind("err S1 field=delta", 0), 0u)
+      << serve::formatResponse(fifoDelta);
+  for (const std::string field : {"sol", "metrics", "trace"}) {
+    SCOPED_TRACE(field);
+    serve::Request eco = ecoRequest(deltaPath);
+    (field == "sol"       ? eco.solutionPath
+     : field == "metrics" ? eco.metricsPath
+                          : eco.tracePath) = fifoPath;
+    const serve::Response resp = call(eco, 2);
+    EXPECT_EQ(serve::formatResponse(resp).rfind("err S1 field=" + field, 0), 0u)
+        << serve::formatResponse(resp);
+    EXPECT_EQ(obstacles(), before) << "a refused eco must have no effect";
+  }
+
+  // The slot was never held: the same edit without a FIFO commits.
+  serve::Request eco = ecoRequest(deltaPath);
+  eco.deadlineMs = 0;
+  const serve::Response ok = call(eco, 60);
+  EXPECT_TRUE(ok.ok) << ok.error;
+  EXPECT_EQ(obstacles(), before + 1);
+  ::unlink(fifoPath.c_str());
+}
+
+/// Open file descriptors of this process.
+std::size_t openFds() {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(ServeNet, ClosedConnectionsReleaseTheirFds) {
+  // Regression: every accepted connection kept its fd and its reader and
+  // writer threads until the server drained, so connection churn ran the
+  // process out of fds. A closed connection is now joined and closed
+  // before the next accept.
+  serve::net::NetServer server(loopback());
+  const std::size_t before = openFds();
+  for (int i = 0; i < 300; ++i) {
+    serve::net::Client client("127.0.0.1", server.port());
+    ASSERT_EQ(client.call(""), "err - field=design empty request line");
+  }
+  EXPECT_LE(openFds(), before + 10);
 }
 
 TEST(ServeNet, ClientDisconnectMidResponseKeepsTheServerServing) {

@@ -5,19 +5,26 @@
 //    designs run serially (the seed implementation differenced a
 //    process-wide tally, so concurrent calls cross-contaminated each
 //    other's search.* metrics).
-//  * Serve-vs-oneshot byte-identity: requests through one Server -- which
-//    shares per-design obstacle templates across requests, sequentially
-//    and concurrently -- produce canonical solution text identical to a
-//    fresh one-shot routeChip.
+//  * Serve-vs-oneshot byte-identity: requests submitted to one Server --
+//    which shares per-design obstacle templates across requests,
+//    sequentially and concurrently -- produce canonical solution text
+//    identical to a fresh one-shot routeChip.
 //  * Trace ownership: concurrent traced requests are serialized by the
 //    server, so both get their own complete trace and neither is
 //    silently discarded by supersession.
+//  * Deadlines: a request stopped by its deadline has no effect -- no eco
+//    commit, no side files -- and an `ok` answer always committed.
+//
+// A case that needs a specific chip object installs it with
+// Server::context(key, load) and then submits `key`.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -31,6 +38,7 @@
 #include "pacor/pipeline.hpp"
 #include "pacor/solution_io.hpp"
 #include "serve/serve.hpp"
+#include "trace/trace.hpp"
 #include "util/sha256.hpp"
 
 namespace pacor {
@@ -102,6 +110,32 @@ TEST(RequestIsolation, ObstacleTemplateMustMatchTheChip) {
                std::invalid_argument);
 }
 
+/// A route (or, with a delta file, eco) request for `design`.
+serve::Request requestFor(const std::string& design,
+                          const std::string& deltaPath = "") {
+  serve::Request req;
+  req.design = design;
+  if (!deltaPath.empty()) {
+    req.verb = serve::Verb::kEco;
+    req.deltaPath = deltaPath;
+  }
+  return req;
+}
+
+/// Submits one request and waits for its answer.
+serve::Response call(serve::Server& server, serve::Request req) {
+  return server.submit(std::move(req)).get();
+}
+
+/// Writes a one-op eco script adding an obstacle at `cell`; returns its path.
+std::string obstacleDelta(const std::string& name, geom::Point cell) {
+  chip::ChipDelta d;
+  d.addObstacle(cell);
+  const std::string path = testing::TempDir() + name;
+  chip::writeDeltaFile(path, d);
+  return path;
+}
+
 TEST(ServeIdentity, SequentialRequestsMatchOneShot) {
   const chip::Chip chipA = chip::generateChip(chip::s2Params());
   const chip::Chip chipB = chip::generateChip(chip::s3Params());
@@ -111,13 +145,14 @@ TEST(ServeIdentity, SequentialRequestsMatchOneShot) {
       core::solutionToString(core::routeChip(chipB, core::pacorDefaultConfig()));
 
   serve::Server server;
-  serve::RequestOptions options;
+  server.context("A", [&] { return chipA; });
+  server.context("B", [&] { return chipB; });
   // Two rounds per design: the second request reuses the cached context
   // (obstacle template and escape session).
   for (int round = 0; round < 2; ++round) {
     SCOPED_TRACE(round);
-    const serve::Response a = server.route("A", chipA, options);
-    const serve::Response b = server.route("B", chipB, options);
+    const serve::Response a = call(server, requestFor("A"));
+    const serve::Response b = call(server, requestFor("B"));
     ASSERT_TRUE(a.ok) << a.error;
     ASSERT_TRUE(b.ok) << b.error;
     EXPECT_TRUE(a.complete);
@@ -140,6 +175,8 @@ TEST(ServeIdentity, ConcurrentRequestsMatchOneShot) {
     oneShot.push_back(core::solutionToString(core::routeChip(c, core::pacorDefaultConfig())));
 
   serve::Server server;
+  for (std::size_t d = 0; d < chips.size(); ++d)
+    server.context("design" + std::to_string(d), [&] { return chips[d]; });
   constexpr int kThreads = 4;
   constexpr int kRequestsPerThread = 3;
   std::vector<serve::Response> responses(kThreads * kRequestsPerThread);
@@ -149,8 +186,7 @@ TEST(ServeIdentity, ConcurrentRequestsMatchOneShot) {
       for (int r = 0; r < kRequestsPerThread; ++r) {
         const int i = t * kRequestsPerThread + r;
         const std::size_t design = static_cast<std::size_t>(i) % chips.size();
-        responses[i] = server.route("design" + std::to_string(design),
-                                    chips[design], serve::RequestOptions{});
+        responses[i] = call(server, requestFor("design" + std::to_string(design)));
       }
     });
   for (std::thread& t : threads) t.join();
@@ -169,25 +205,26 @@ TEST(ServeTrace, ConcurrentTracedRequestsBothRecord) {
   const chip::Chip chipB = chip::generateChip(chip::s3Params());
 
   serve::Server server;
-  serve::RequestOptions optionsA;
-  optionsA.tracePath = testing::TempDir() + "serve_trace_a.json";
-  serve::RequestOptions optionsB;
-  optionsB.tracePath = testing::TempDir() + "serve_trace_b.json";
+  server.context("A", [&] { return chipA; });
+  server.context("B", [&] { return chipB; });
+  serve::Request requestA = requestFor("A");
+  requestA.tracePath = testing::TempDir() + "serve_trace_a.json";
+  serve::Request requestB = requestFor("B");
+  requestB.tracePath = testing::TempDir() + "serve_trace_b.json";
 
-  serve::Response a;
-  serve::Response b;
-  std::thread ta([&] { a = server.route("A", chipA, optionsA); });
-  std::thread tb([&] { b = server.route("B", chipB, optionsB); });
-  ta.join();
-  tb.join();
+  // Two dispatchers (the default), so both requests are in flight at once.
+  auto futA = server.submit(requestA);
+  auto futB = server.submit(requestB);
+  const serve::Response a = futA.get();
+  const serve::Response b = futB.get();
 
   for (const serve::Response* resp : {&a, &b}) {
     ASSERT_TRUE(resp->ok) << resp->error;
     EXPECT_FALSE(resp->traceDiscarded);
     EXPECT_GT(resp->traceSpans, 0);
   }
-  EXPECT_TRUE(std::ifstream(optionsA.tracePath).good());
-  EXPECT_TRUE(std::ifstream(optionsB.tracePath).good());
+  EXPECT_TRUE(std::ifstream(requestA.tracePath).good());
+  EXPECT_TRUE(std::ifstream(requestB.tracePath).good());
 }
 
 /// An interior cell owned by nothing in the routed design: legal to turn
@@ -222,22 +259,23 @@ TEST(ServeSession, WarmEscapeSessionIsByteIdenticalToCold) {
       core::solutionToString(core::routeChip(chip, core::pacorDefaultConfig()));
 
   serve::Server server;
-  serve::RequestOptions options;
-  options.metricsPath = testing::TempDir() + "serve_warm_metrics.json";
-  const serve::Response cold = server.route("W", chip, options);
+  server.context("W", [&] { return chip; });
+  serve::Request request = requestFor("W");
+  request.metricsPath = testing::TempDir() + "serve_warm_metrics.json";
+  const serve::Response cold = call(server, request);
   ASSERT_TRUE(cold.ok) << cold.error;
   std::stringstream coldJson;
-  coldJson << std::ifstream(options.metricsPath).rdbuf();
+  coldJson << std::ifstream(request.metricsPath).rdbuf();
   EXPECT_EQ(coldJson.str().find("\"escape.flow.cold_builds\": 0"),
             std::string::npos)
       << "first request should cold-build the escape session";
 
   // Second request reuses the persistent session (warm rebind, zero cold
   // builds) and must still produce byte-identical output.
-  const serve::Response warm = server.route("W", chip, options);
+  const serve::Response warm = call(server, request);
   ASSERT_TRUE(warm.ok) << warm.error;
   std::stringstream warmJson;
-  warmJson << std::ifstream(options.metricsPath).rdbuf();
+  warmJson << std::ifstream(request.metricsPath).rdbuf();
   EXPECT_NE(warmJson.str().find("\"escape.flow.cold_builds\": 0"),
             std::string::npos)
       << warmJson.str();
@@ -251,23 +289,24 @@ TEST(ServeEco, EcoRequestAdvancesTheDesign) {
   ASSERT_TRUE(oneShot.complete);
 
   serve::Server server;
-  const std::shared_ptr<serve::DesignContext> ctx =
-      server.context("E", [&] { return base; });
-  const serve::Response before = server.route(*ctx, serve::RequestOptions{});
+  server.context("E", [&] { return base; });
+  const serve::Response before = call(server, requestFor("E"));
   ASSERT_TRUE(before.ok) << before.error;
 
   // An obstacle on free ground: identity -- the previous result carries.
-  chip::ChipDelta d;
-  d.addObstacle(freeCellOf(base, oneShot));
-  const serve::Response eco = server.eco(*ctx, d, serve::RequestOptions{});
+  const geom::Point cell = freeCellOf(base, oneShot);
+  const serve::Response eco =
+      call(server, requestFor("E", obstacleDelta("serve_eco_advance.delta", cell)));
   ASSERT_TRUE(eco.ok) << eco.error;
   EXPECT_EQ(eco.ecoMode, "identity");
   EXPECT_EQ(eco.solutionHash, before.solutionHash);
 
   // The context now holds the edited chip: a later plain route must match
   // a one-shot of the edited design, not of the base.
+  chip::ChipDelta d;
+  d.addObstacle(cell);
   const chip::Chip edited = chip::apply(base, d);
-  const serve::Response after = server.route(*ctx, serve::RequestOptions{});
+  const serve::Response after = call(server, requestFor("E"));
   ASSERT_TRUE(after.ok) << after.error;
   EXPECT_EQ(after.solutionText,
             core::solutionToString(core::routeChip(edited, core::pacorDefaultConfig())));
@@ -311,12 +350,14 @@ clusters 0
   const std::string oneShot =
       core::solutionToString(core::rerouteChip(base, prev, d, core::pacorDefaultConfig()));
 
+  const std::string deltaPath = testing::TempDir() + "serve_eco_transpose.delta";
+  chip::writeDeltaFile(deltaPath, d);
+
   serve::Server server;
-  const std::shared_ptr<serve::DesignContext> ctx =
-      server.context("T", [&] { return base; });
-  const serve::Response before = server.route(*ctx, serve::RequestOptions{});
+  server.context("T", [&] { return base; });
+  const serve::Response before = call(server, requestFor("T"));
   ASSERT_TRUE(before.ok) << before.error;
-  const serve::Response eco = server.eco(*ctx, d, serve::RequestOptions{});
+  const serve::Response eco = call(server, requestFor("T", deltaPath));
   ASSERT_TRUE(eco.ok) << eco.error;
   EXPECT_EQ(eco.ecoMode, "full");
   EXPECT_EQ(eco.solutionText, oneShot);
@@ -329,104 +370,154 @@ TEST(ServeEco, ConcurrentRouteAndEcoStayConsistent) {
   chip::ChipDelta d;
   d.addObstacle(freeCellOf(base, oneShot));
   const chip::Chip edited = chip::apply(base, d);
+  const std::string deltaPath = testing::TempDir() + "serve_eco_concurrent.delta";
+  chip::writeDeltaFile(deltaPath, d);
 
   serve::Server server;
-  const std::shared_ptr<serve::DesignContext> ctx =
-      server.context("C", [&] { return base; });
+  server.context("C", [&] { return base; });
+  server.context("D", [&] { return edited; });
 
-  // Routers race the eco edit: each response must match a one-shot of
-  // whichever design state its request observed.
+  // Routes queue up around the eco edit while earlier ones execute, and a
+  // second design runs next to them. One design's requests run in FIFO
+  // order, so each route answers for the design state of its position:
+  // the base before the eco, the edited design after it.
   const std::string baseText = core::solutionToString(oneShot);
   const std::string editedText =
       core::solutionToString(core::routeChip(edited, core::pacorDefaultConfig()));
-  constexpr int kRouteThreads = 3;
-  std::vector<serve::Response> routed(kRouteThreads * 2);
-  serve::Response ecoResp;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kRouteThreads; ++t)
-    threads.emplace_back([&, t] {
-      for (int r = 0; r < 2; ++r)
-        routed[t * 2 + r] = server.route(*ctx, serve::RequestOptions{});
-    });
-  threads.emplace_back(
-      [&] { ecoResp = server.eco(*ctx, d, serve::RequestOptions{}); });
-  for (std::thread& t : threads) t.join();
-
-  ASSERT_TRUE(ecoResp.ok) << ecoResp.error;
-  for (const serve::Response& resp : routed) {
-    ASSERT_TRUE(resp.ok) << resp.error;
-    EXPECT_TRUE(resp.solutionText == baseText || resp.solutionText == editedText);
+  constexpr int kRoutesPerSide = 3;
+  std::vector<std::future<serve::Response>> before;
+  std::vector<std::future<serve::Response>> after;
+  std::vector<std::future<serve::Response>> other;
+  for (int i = 0; i < kRoutesPerSide; ++i) {
+    before.push_back(server.submit(requestFor("C")));
+    other.push_back(server.submit(requestFor("D")));
   }
-  const serve::Response final = server.route(*ctx, serve::RequestOptions{});
-  ASSERT_TRUE(final.ok) << final.error;
-  EXPECT_EQ(final.solutionText, editedText);
+  auto ecoFut = server.submit(requestFor("C", deltaPath));
+  for (int i = 0; i < kRoutesPerSide; ++i) after.push_back(server.submit(requestFor("C")));
+
+  const serve::Response ecoResp = ecoFut.get();
+  ASSERT_TRUE(ecoResp.ok) << ecoResp.error;
+  for (auto* futures : {&before, &after, &other}) {
+    const std::string& expected = futures == &before ? baseText : editedText;
+    for (std::future<serve::Response>& fut : *futures) {
+      const serve::Response resp = fut.get();
+      ASSERT_TRUE(resp.ok) << resp.error;
+      EXPECT_EQ(resp.solutionText, expected);
+    }
+  }
 }
 
-TEST(ServeEco, AbandonedEcoDoesNotCommitTheDelta) {
-  // The watchdog answers a mid-execution expiry and sets the request's
-  // cancel flag; the abandoned eco's response is discarded -- but it must
-  // also NOT advance the design, because the caller was told the eco did
-  // not happen and may retry the same delta. A committed abandoned eco
-  // plus a retry would double-apply the edit.
-  const chip::Chip base = chip::generateChip(chip::s2Params());
+/// A cell on a routed escape channel, away from its ends: an obstacle
+/// there forces the cluster to be re-routed, so an eco adding it reaches
+/// routing poll points.
+geom::Point channelCellOf(const core::PacorResult& r) {
+  for (const core::RoutedCluster& rc : r.clusters)
+    if (rc.escapePath.size() >= 5) return rc.escapePath[rc.escapePath.size() / 2];
+  ADD_FAILURE() << "no escape channel of length >= 5";
+  return {1, 1};
+}
+
+/// Submits make(deadline_ms) with deadline_ms = 1, 2, 4, ... until one is
+/// answered `ok`, calling onExpired after every `err ... field=deadline`
+/// answer. Any other answer fails the test. Returns the `ok` answer and
+/// sets `expiredExecuting` when some err stopped mid-execution.
+serve::Response deadlineLadder(
+    serve::Server& server, const std::function<serve::Request(std::int64_t)>& make,
+    const std::function<void()>& onExpired, bool& expiredExecuting) {
+  expiredExecuting = false;
+  for (std::int64_t ms = 1;; ms *= 2) {
+    SCOPED_TRACE(ms);
+    const serve::Response resp = call(server, make(ms));
+    if (resp.ok) return resp;
+    EXPECT_TRUE(resp.deadlineExpired) << serve::formatResponse(resp);
+    if (!resp.deadlineExpired) return resp;
+    expiredExecuting |= resp.error.find("(executing)") != std::string::npos;
+    onExpired();
+  }
+}
+
+TEST(ServeEco, ExpiredEcoDoesNotCommitTheDelta) {
+  // An `err ... field=deadline` answer means the eco had no effect: the
+  // client may retry the same delta, and a committed expired eco plus the
+  // retry would apply the edit twice. The eco blocks a routed channel, so
+  // it needs a real reroute and is stopped at a routing poll point.
+  const chip::Chip base = chip::generateChip(chip::chip1Params());
   const core::PacorResult oneShot = core::routeChip(base, core::pacorDefaultConfig());
-  ASSERT_TRUE(oneShot.complete);
+  chip::ChipDelta d;
+  d.addObstacle(channelCellOf(oneShot));
+  const chip::Chip edited = chip::apply(base, d);
+  const std::string deltaPath = testing::TempDir() + "serve_eco_expired.delta";
+  chip::writeDeltaFile(deltaPath, d);
 
   serve::Server server;
-  const std::shared_ptr<serve::DesignContext> ctx =
-      server.context("A", [&] { return base; });
-  const serve::Response before = server.route(*ctx, serve::RequestOptions{});
+  server.context("A", [&] { return base; });
+  const serve::Response before = call(server, requestFor("A"));
   ASSERT_TRUE(before.ok) << before.error;
 
-  chip::ChipDelta d;
-  d.addObstacle(freeCellOf(base, oneShot));
-  serve::RequestOptions abandonedOptions;
-  abandonedOptions.cancel = std::make_shared<std::atomic<bool>>(true);
-  const serve::Response abandoned = server.eco(*ctx, d, abandonedOptions);
-  EXPECT_FALSE(abandoned.ok);
-  EXPECT_NE(abandoned.error.find("not committed"), std::string::npos)
-      << abandoned.error;
-
-  // The context still routes the base design...
-  const serve::Response after = server.route(*ctx, serve::RequestOptions{});
+  serve::Request gen;
+  gen.verb = serve::Verb::kGen;
+  gen.design = "A";
+  const auto obstacles = [&] { return call(server, gen).genObstacles; };
+  const int baseObstacles = obstacles();
+  bool expiredExecuting = false;
+  const serve::Response committed = deadlineLadder(
+      server,
+      [&](std::int64_t ms) {
+        serve::Request eco = requestFor("A", deltaPath);
+        eco.deadlineMs = ms;
+        return eco;
+      },
+      [&] { EXPECT_EQ(obstacles(), baseObstacles); }, expiredExecuting);
+  EXPECT_TRUE(expiredExecuting) << "no eco was stopped mid-execution";
+  ASSERT_TRUE(committed.ok) << committed.error;
+  EXPECT_NE(committed.ecoMode, "identity");
+  // The edit applied exactly once.
+  EXPECT_EQ(obstacles(), baseObstacles + 1);
+  const serve::Response after = call(server, requestFor("A"));
   ASSERT_TRUE(after.ok) << after.error;
-  EXPECT_EQ(after.solutionHash, before.solutionHash);
-
-  // ...and a live retry applies the delta exactly once.
-  const serve::Response retry = server.eco(*ctx, d, serve::RequestOptions{});
-  ASSERT_TRUE(retry.ok) << retry.error;
-  const serve::Response edited = server.route(*ctx, serve::RequestOptions{});
-  ASSERT_TRUE(edited.ok) << edited.error;
-  EXPECT_EQ(edited.solutionText,
-            core::solutionToString(
-                core::routeChip(chip::apply(base, d), core::pacorDefaultConfig())));
+  EXPECT_EQ(after.solutionText,
+            core::solutionToString(core::routeChip(edited, core::pacorDefaultConfig())));
 }
 
-TEST(ServeCancel, AbandonedRequestWritesNoSideFiles) {
-  // An abandoned request's caller was already answered with a deadline
-  // error; its discarded execution must not write sol=/metrics= files
-  // that could clobber the output of a retry racing it.
-  const chip::Chip base = chip::generateChip(chip::s1Params());
+TEST(ServeCancel, ExpiredRequestWritesNoSideFiles) {
+  // A request answered `err ... field=deadline` writes no sol=, metrics=
+  // or trace= file, and its trace session has ended (left recording, it
+  // would capture every later request); the `ok` one writes all three.
   serve::Server server;
-  const std::shared_ptr<serve::DesignContext> ctx =
-      server.context("F", [&] { return base; });
-
-  serve::RequestOptions options;
-  options.solutionPath = ::testing::TempDir() + "serve_cancel.sol";
-  options.metricsPath = ::testing::TempDir() + "serve_cancel.json";
-  std::remove(options.solutionPath.c_str());
-  std::remove(options.metricsPath.c_str());
-  options.cancel = std::make_shared<std::atomic<bool>>(true);
-  server.route(*ctx, options);
-  EXPECT_FALSE(std::ifstream(options.solutionPath).good());
-  EXPECT_FALSE(std::ifstream(options.metricsPath).good());
-
-  // The live retry with the same paths writes both.
-  options.cancel = nullptr;
-  const serve::Response live = server.route(*ctx, options);
+  const std::string solPath = testing::TempDir() + "serve_cancel.sol";
+  const std::string metricsPath = testing::TempDir() + "serve_cancel.json";
+  const std::string tracePath = testing::TempDir() + "serve_cancel_trace.json";
+  const auto removeFiles = [&] {
+    std::remove(solPath.c_str());
+    std::remove(metricsPath.c_str());
+    std::remove(tracePath.c_str());
+  };
+  removeFiles();
+  bool expiredExecuting = false;
+  const serve::Response live = deadlineLadder(
+      server,
+      [&](std::int64_t ms) {
+        serve::Request req = requestFor("Chip1");
+        req.solutionPath = solPath;
+        req.metricsPath = metricsPath;
+        req.tracePath = tracePath;
+        req.deadlineMs = ms;
+        return req;
+      },
+      [&] {
+        EXPECT_FALSE(std::ifstream(solPath).good());
+        EXPECT_FALSE(std::ifstream(metricsPath).good());
+        EXPECT_FALSE(std::ifstream(tracePath).good());
+        EXPECT_FALSE(trace::sessionActive());
+        removeFiles();
+      },
+      expiredExecuting);
+  EXPECT_TRUE(expiredExecuting) << "no route was stopped mid-execution";
   ASSERT_TRUE(live.ok) << live.error;
-  EXPECT_TRUE(std::ifstream(options.solutionPath).good());
-  EXPECT_TRUE(std::ifstream(options.metricsPath).good());
+  EXPECT_TRUE(std::ifstream(solPath).good());
+  EXPECT_TRUE(std::ifstream(metricsPath).good());
+  EXPECT_GT(live.traceSpans, 0);
+  EXPECT_TRUE(std::ifstream(tracePath).good());
 }
 
 TEST(ServeBatch, EcoVerbRoutesAndReportsMode) {

@@ -84,9 +84,10 @@ int usage() {
       "              --max-queue high-water mark (0 = unbounded) requests get\n"
       "              `busy` responses; SIGTERM drains gracefully.\n"
       "              --deadline-ms sets a default per-request deadline (0 =\n"
-      "              none; requests may override via deadline_ms=); expired\n"
-      "              requests answer `err <design> field=deadline ...` and a\n"
-      "              watchdog recycles any dispatcher stuck past its deadline.\n"
+      "              none; requests may override via deadline_ms=); routing\n"
+      "              stops at the deadline and the request answers\n"
+      "              `err <design> field=deadline ...` with no effect; `ok`\n"
+      "              means it committed, even if it finished late.\n"
       "              --max-designs bounds the warm-context LRU cache (0 =\n"
       "              unlimited; in-flight designs are never evicted)\n"
       "  pacor check <in.chip> <in.sol>\n"

@@ -20,10 +20,10 @@
 //       agree on the requested/routed counts, the flow cost, the solver
 //       counters (settles, passes, augmentations, queue pushes and pops),
 //       and each cluster's pin and escape path,
-//   (e) the long-lived serve loop is invisible too: routing the design
-//       through one shared serve::Server (reused workspaces and obstacle
-//       templates across all previous seeds' requests) is byte-identical
-//       to the independent one-shot run,
+//   (e) the long-lived serve loop is invisible too: submitting the design
+//       with the seed's variant= to one shared serve::Server (reused
+//       workspaces and obstacle templates across all previous seeds'
+//       requests) is byte-identical to the independent one-shot run,
 //   (g) ECO differential: a seeded random edit script (1-8 edits -- valve
 //       moves/adds/removes, obstacle adds/removes, cluster flips) is
 //       applied one delta at a time, chaining each rerouteChip() result
@@ -60,6 +60,7 @@
 #include <filesystem>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -187,6 +188,17 @@ core::PacorConfig configForSeed(std::uint32_t seed) {
     case 1: return core::withoutSelectionConfig();
     case 2: return core::detourFirstConfig();
     default: return core::pacorDefaultConfig();
+  }
+}
+
+/// The serve variant= naming configForSeed(seed). Property (e) submits it,
+/// so a wrong variant mapping in the serve layer shows up as a mismatch
+/// against the independently configured one-shot run.
+serve::Variant variantForSeed(std::uint32_t seed) {
+  switch (seed % 3) {
+    case 1: return serve::Variant::kWosel;
+    case 2: return serve::Variant::kDetourFirst;
+    default: return serve::Variant::kPacor;
   }
 }
 
@@ -621,11 +633,15 @@ bool runDesign(const Options& opt, serve::Server& server, std::uint32_t seed,
 
   // (e) N requests through one long-lived server == N independent runs.
   // The server is shared across all seeds, so every request after the
-  // first exercises reused workspaces and a warm request loop.
-  serve::RequestOptions request;
-  request.config = cfg;
-  const serve::Response served =
-      server.route("fuzz_" + std::to_string(seed), chip, request);
+  // first exercises reused workspaces and a warm request loop. The pin
+  // installs this chip object as the design; it is held until the answer
+  // so the context cannot be evicted before the request runs.
+  serve::Request request;
+  request.design = "fuzz_" + std::to_string(seed);
+  request.variant = variantForSeed(seed);
+  const std::shared_ptr<serve::DesignContext> pin =
+      server.context(request.design, [&chip] { return chip; });
+  const serve::Response served = server.submit(std::move(request)).get();
   if (!served.ok || served.solutionText != resultText) {
     std::cerr << "FAIL seed " << seed << ": serve::Server output differs from "
               << "the independent one-shot run ("
