@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <queue>
 #include <unordered_set>
 
@@ -313,12 +311,6 @@ bool detourClusterForMatching(const chip::Chip& chip, grid::ObstacleMap& obstacl
         }
       }
       if (!success) {
-        if (std::getenv("PACOR_DEBUG"))
-          std::fprintf(stderr,
-                       "detour: sink %zu stuck (len %lld, maxL %lld, need [%lld,%lld])\n",
-                       s, static_cast<long long>(lengths[s]),
-                       static_cast<long long>(maxL), static_cast<long long>(needLo),
-                       static_cast<long long>(needHi));
         roundFailed = true;
         break;
       }

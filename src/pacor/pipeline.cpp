@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -160,13 +158,11 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   result.design = chip.name;
   trace::Span rootSpan("pacor.route", "pipeline");
 
-  // Request-scoped search-effort accounting. Per-stage counters are
-  // snapshots of this sink, never differences of the process-wide
-  // searchTally(): concurrent in-process requests each see only their own
-  // searches, because every search of this request runs on this thread.
-  route::SharedTally requestTally;
-  route::TallyScope tallyScope(&requestTally);
-  const route::SearchCounters tally0 = requestTally.snapshot();
+  // Search effort per stage: differences of this thread's workspace
+  // counters. Every search of the request runs on this thread, so
+  // concurrent requests on other threads never show up in them.
+  const route::RouterWorkspace& searchWorkspace = route::localWorkspace();
+  const route::SearchCounters tally0 = searchWorkspace.counters();
 
   // Routing workspace: static obstacles plus blocked non-pin boundary
   // cells (escape constraint 8 applied globally for consistency); copied
@@ -232,7 +228,7 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   spanMst.close();
   const auto tRouteEnd = Clock::now();
   result.times.clusterRouting = seconds(tClusterEnd, tRouteEnd);
-  const route::SearchCounters tallyRoute = requestTally.snapshot();
+  const route::SearchCounters tallyRoute = searchWorkspace.counters();
   result.searchClusterRouting = tallyRoute - tally0;
 
   // --- Optional: detour-first baseline (match around the tap) ------------
@@ -324,26 +320,6 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
       for (WorkCluster& wc : clusters) ptrs.push_back(&wc);
       const EscapeOutcome outcome = escapePass(ptrs);
       roundSpan.arg("failed", static_cast<std::int64_t>(outcome.failed.size()));
-      // The env is read once per process and each round's diagnostics go
-      // out as one write: concurrent requests' lines interleave whole, not
-      // character-by-character, and the hot loop never calls getenv.
-      static const bool kDebug = std::getenv("PACOR_DEBUG") != nullptr;
-      if (kDebug) {
-        char buf[96];
-        std::snprintf(buf, sizeof buf,
-                      "[%s] escape round %d: requested %d routed %d failed %zu [",
-                      chip.name.c_str(), round, outcome.requested,
-                      outcome.routedCount, outcome.failed.size());
-        std::string line = buf;
-        for (const std::size_t f : outcome.failed) {
-          std::snprintf(buf, sizeof buf, " %zu(%zuv,%s)", f,
-                        clusters[f].spec.valves.size(),
-                        clusters[f].lmStructured ? "lm" : "plain");
-          line += buf;
-        }
-        line += " ]\n";
-        std::fwrite(line.data(), 1, line.size(), stderr);
-      }
       if (outcome.failed.empty()) break;
       if (round + 1 >= config.maxEscapeRounds) break;
 
@@ -457,7 +433,7 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   spanEscape.close();
   const auto tEscapeEnd = Clock::now();
   result.times.escape = seconds(tRouteEnd, tEscapeEnd);
-  const route::SearchCounters tallyEscape = requestTally.snapshot();
+  const route::SearchCounters tallyEscape = searchWorkspace.counters();
   result.searchEscape = tallyEscape - tallyRoute;
   // The flow solver has no A* tally of its own; graft its effort counters
   // into the escape search block (searches = label passes, expansions =
@@ -528,7 +504,7 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   spanDetour.close();
   const auto tDetourEnd = Clock::now();
   result.times.detour = seconds(tEscapeEnd, tDetourEnd);
-  result.searchDetour = requestTally.snapshot() - tallyEscape;
+  result.searchDetour = searchWorkspace.counters() - tallyEscape;
 
   // --- Harvest ------------------------------------------------------------
   result.complete = true;

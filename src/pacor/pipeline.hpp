@@ -55,8 +55,8 @@ grid::ObstacleMap makeRoutingObstacleTemplate(const chip::Chip& chip);
 /// std::invalid_argument when the chip fails validation.
 ///
 /// Runs entirely on the calling thread. Safe to call from several threads
-/// at once: each call owns its routing state, search-effort counters are
-/// scoped to the request (not diffed from the process-wide tally), and
+/// at once: each call owns its routing state, its search-effort counters
+/// are differences of the calling thread's RouterWorkspace counters, and
 /// a shared obstacle template is only read (an escape-session slot is not
 /// shareable; see RouteResources::escapeSession).
 ///

@@ -79,9 +79,10 @@ struct PacorResult {
   int escapeSplits = 0;           ///< plain trees force-split in half
 
   /// Search-kernel effort per stage (A* invocations / settled expansions /
-  /// bounded-DFS visits), measured as global-tally deltas around each
-  /// stage. The escape figure covers the rip-up rounds' re-routing; the
-  /// detour figure includes the matching-driven retry passes.
+  /// bounded-DFS visits), measured as differences of the routing thread's
+  /// workspace counters around each stage. The escape figure covers the
+  /// rip-up rounds' re-routing; the detour figure includes the
+  /// matching-driven retry passes.
   route::SearchCounters searchClusterRouting;
   route::SearchCounters searchEscape;
   route::SearchCounters searchDetour;

@@ -156,14 +156,14 @@ AStarResult aStarRoute(const grid::ObstacleMap& obstacles, const AStarRequest& r
   RouterWorkspace& ws = workspace != nullptr ? *workspace : localWorkspace();
   ws.bind(obstacles.grid());
   ws.beginSearch();
+  const std::uint64_t expansions0 = ws.expansions;
   AStarResult result;
   if (request.historyCost == nullptr)
     result = aStarRouteBuckets(obstacles, request, ws);
   else
     result = aStarRouteHeap(obstacles, request, ws);
-  span.arg("expansions", static_cast<std::int64_t>(ws.expansions));
+  span.arg("expansions", static_cast<std::int64_t>(ws.expansions - expansions0));
   span.arg("found", result.success ? 1 : 0);
-  ws.flushCounters();
   return result;
 }
 

@@ -124,9 +124,8 @@ BoundedAStarResult boundedLengthRoute(const grid::ObstacleMap& obstacles,
   ws.beginSearch();
   Dfs dfs{obstacles, request, ws, {}, 0};
   const bool found = dfs.run();
-  span.arg("visits", static_cast<std::int64_t>(ws.boundedVisits));
+  span.arg("visits", static_cast<std::int64_t>(dfs.visits));
   span.arg("found", found ? 1 : 0);
-  ws.flushCounters();
   if (!found) return result;
   result.success = true;
   result.path = std::move(dfs.path);

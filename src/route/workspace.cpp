@@ -1,46 +1,9 @@
 #include "route/workspace.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 
 namespace pacor::route {
-
-namespace {
-
-std::atomic<std::uint64_t> gSearches{0};
-std::atomic<std::uint64_t> gExpansions{0};
-std::atomic<std::uint64_t> gBoundedVisits{0};
-
-thread_local SharedTally* tlTally = nullptr;
-
-}  // namespace
-
-SearchCounters searchTally() noexcept {
-  return {gSearches.load(std::memory_order_relaxed),
-          gExpansions.load(std::memory_order_relaxed),
-          gBoundedVisits.load(std::memory_order_relaxed)};
-}
-
-TallyScope::TallyScope(SharedTally* sink) noexcept : prev_(tlTally) {
-  // Counts accrued before this scope belong to the previous sink.
-  localWorkspace().flushCounters();
-  tlTally = sink;
-}
-
-TallyScope::~TallyScope() noexcept {
-  localWorkspace().flushCounters();
-  tlTally = prev_;
-}
-
-void RouterWorkspace::flushCounters() noexcept {
-  if (searches == 0 && expansions == 0 && boundedVisits == 0) return;
-  gSearches.fetch_add(searches, std::memory_order_relaxed);
-  gExpansions.fetch_add(expansions, std::memory_order_relaxed);
-  gBoundedVisits.fetch_add(boundedVisits, std::memory_order_relaxed);
-  if (tlTally != nullptr) tlTally->add({searches, expansions, boundedVisits});
-  searches = expansions = boundedVisits = 0;
-}
 
 void RouterWorkspace::bind(const grid::Grid& g) {
   const auto cells = static_cast<std::size_t>(g.cellCount());
@@ -68,9 +31,6 @@ std::uint32_t RouterWorkspace::beginSearch() {
   bucketCursor = 0;
   bucketHi = -1;
   ++searches;
-  // Keep the global tally fresh enough for per-stage deltas without an
-  // atomic RMW per expansion.
-  flushCounters();
   return epoch;
 }
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -8,9 +7,9 @@
 
 namespace pacor::route {
 
-/// Aggregate search-effort counters, flushed from the workspaces into the
-/// thread's active SharedTally (and the process-wide tally) so the
-/// pipeline can report per-stage A* work in machine-readable form.
+/// Search-effort counters. A RouterWorkspace counts monotonically; the
+/// pipeline reports per-stage A* work as differences of the calling
+/// thread's workspace counters().
 struct SearchCounters {
   std::uint64_t searches = 0;       ///< A* invocations (all variants)
   std::uint64_t expansions = 0;     ///< settled open-list pops
@@ -20,62 +19,6 @@ struct SearchCounters {
     return {searches - o.searches, expansions - o.expansions,
             boundedVisits - o.boundedVisits};
   }
-  SearchCounters& operator+=(const SearchCounters& o) noexcept {
-    searches += o.searches;
-    expansions += o.expansions;
-    boundedVisits += o.boundedVisits;
-    return *this;
-  }
-};
-
-/// Reads the process-wide search tally (thread-safe). This aggregates
-/// every search of the process lifetime across all concurrent callers;
-/// per-request accounting must use a SharedTally scope instead --
-/// differencing the process tally around a stage cross-contaminates
-/// concurrent in-process routeChip calls.
-SearchCounters searchTally() noexcept;
-
-/// A caller-owned counter sink multiple threads can flush into
-/// concurrently. One instance per routing request gives contamination-free
-/// per-request (and, via snapshots, per-stage) search effort even when
-/// several requests run in the same process at once.
-class SharedTally {
- public:
-  void add(const SearchCounters& c) noexcept {
-    searches_.fetch_add(c.searches, std::memory_order_relaxed);
-    expansions_.fetch_add(c.expansions, std::memory_order_relaxed);
-    boundedVisits_.fetch_add(c.boundedVisits, std::memory_order_relaxed);
-  }
-  SearchCounters snapshot() const noexcept {
-    return {searches_.load(std::memory_order_relaxed),
-            expansions_.load(std::memory_order_relaxed),
-            boundedVisits_.load(std::memory_order_relaxed)};
-  }
-
- private:
-  std::atomic<std::uint64_t> searches_{0};
-  std::atomic<std::uint64_t> expansions_{0};
-  std::atomic<std::uint64_t> boundedVisits_{0};
-};
-
-/// RAII scope routing this thread's flushed workspace counters into
-/// `sink` (in addition to the process tally) until destruction; the
-/// previous sink is restored on exit, so scopes nest. Construction and
-/// destruction flush the thread's workspace so counts settle into the
-/// sink that was active while they accrued.
-///
-/// The scope is per-thread, and a routing request runs entirely on the
-/// thread that installed it, so every search of the request lands here.
-class TallyScope {
- public:
-  explicit TallyScope(SharedTally* sink) noexcept;
-  ~TallyScope() noexcept;
-
-  TallyScope(const TallyScope&) = delete;
-  TallyScope& operator=(const TallyScope&) = delete;
-
- private:
-  SharedTally* prev_;
 };
 
 /// Reusable scratch memory for the grid-search kernels (A* and the
@@ -137,12 +80,13 @@ class RouterWorkspace {
   /// Pops the next entry in f order; returns false when the list is empty.
   bool bucketPop(BucketEntry& out);
 
-  // --- counters (flushed to the global tally by flushCounters) ------------
+  // --- search effort, monotonic over the workspace's lifetime -------------
   std::uint64_t searches = 0;
   std::uint64_t expansions = 0;
   std::uint64_t boundedVisits = 0;
-  void flushCounters() noexcept;
-  ~RouterWorkspace() { flushCounters(); }
+  SearchCounters counters() const noexcept {
+    return {searches, expansions, boundedVisits};
+  }
 
  private:
   std::size_t cells_ = 0;

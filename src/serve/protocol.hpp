@@ -17,10 +17,10 @@ struct RequestOptions {
   std::string solutionPath;  ///< write the solution file here when set
   std::string metricsPath;   ///< write the metrics JSON here when set
 
-  /// Per-request Chrome trace. Tracing is a process-wide single-recorder
-  /// facility, so the server runs a traced request exclusively (no other
-  /// request in flight) and ends its session on every path, a request
-  /// stopped by its deadline included.
+  /// Per-request Chrome trace, recorded by the trace session of the
+  /// dispatcher thread that runs the request, so other requests keep
+  /// running and stay out of it. The session ends on every path, a
+  /// request stopped by its deadline included.
   std::string tracePath;
   trace::Level traceLevel = trace::Level::kCluster;
 };
@@ -98,9 +98,8 @@ struct Response {
   std::size_t clusterCount = 0;
   std::int64_t totalLength = 0;
   int coldBuilds = -1;  ///< escape.flow.cold_builds; 0 = warm session reuse
-  int traceSpans = -1;         ///< recorded spans; -1 = no trace requested
-  bool traceDiscarded = false; ///< trace superseded by a concurrent session
-  std::string error;           ///< non-empty when !ok (or trace/file I/O failed)
+  int traceSpans = -1;  ///< recorded spans; -1 = no trace requested
+  std::string error;    ///< non-empty when !ok (or trace/file I/O failed)
 
   /// Admission control: the request was refused before execution because
   /// the server's waiting queue was full or it is draining. `error` holds

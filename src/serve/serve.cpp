@@ -20,6 +20,7 @@
 #include "pacor/eco.hpp"
 #include "pacor/escape.hpp"
 #include "pacor/solution_io.hpp"
+#include "trace/trace.hpp"
 #include "util/sha256.hpp"
 
 namespace pacor::serve {
@@ -328,18 +329,11 @@ Response Server::execute(const Pending& pending) {
       delta = chip::readDelta(is);
     }
 
-    // Trace ownership is serialized explicitly: a traced request waits for
-    // every in-flight request to drain and runs alone, so its session is
-    // neither superseded mid-flight nor polluted by concurrent requests'
-    // spans. Untraced requests share the fence and run concurrently.
+    // The trace session is this dispatcher thread's, and the request runs
+    // on this thread alone, so the trace holds exactly this request's spans
+    // while other requests run (traced or not) on other dispatchers.
     const bool traced = !options.tracePath.empty();
-    std::shared_lock<std::shared_mutex> shared(traceFence_, std::defer_lock);
-    std::unique_lock<std::shared_mutex> exclusive(traceFence_, std::defer_lock);
-    if (traced)
-      exclusive.lock();
-    else
-      shared.lock();
-    if (traced) ctx.traceSession().begin(options.traceLevel);
+    if (traced) trace::beginSession(options.traceLevel);
     resources.escapeSession = &ctx.escapeSession_;
     try {
       if (delta) {
@@ -393,8 +387,9 @@ Response Server::execute(const Pending& pending) {
         ctx.hasLast_ = true;
       }
     } catch (const util::DeadlineExceeded&) {
-      // Left active, the session would record every later request.
-      if (traced) ctx.traceSession().end();
+      // Left active, the session would record every later request of this
+      // dispatcher.
+      if (traced) trace::endSession();
       throw;
     } catch (const std::exception& e) {
       resp.ok = false;
@@ -402,17 +397,10 @@ Response Server::execute(const Pending& pending) {
     }
 
     if (traced) {
-      const std::vector<trace::Event> events = ctx.traceSession().end();
-      // Belt and braces: the fence makes supersession impossible here, but
-      // a discarded trace must be reported, never returned as "empty".
-      if (ctx.traceSession().superseded()) {
-        resp.traceDiscarded = true;
-        addError(resp, "trace discarded: session superseded by a concurrent request");
-      } else {
-        resp.traceSpans = static_cast<int>(events.size());
-        if (!writeOutputFile(options.tracePath, trace::toChromeJson(events)))
-          addError(resp, "cannot write trace file " + options.tracePath);
-      }
+      const std::vector<trace::Event> events = trace::endSession();
+      resp.traceSpans = static_cast<int>(events.size());
+      if (!writeOutputFile(options.tracePath, trace::toChromeJson(events)))
+        addError(resp, "cannot write trace file " + options.tracePath);
     }
   } catch (const util::DeadlineExceeded&) {
     // The load or the route stopped at its deadline before any effect.

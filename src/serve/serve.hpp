@@ -24,16 +24,17 @@
 #include "pacor/pipeline.hpp"
 #include "pacor/result.hpp"
 #include "serve/protocol.hpp"
-#include "trace/trace.hpp"
 #include "util/deadline.hpp"
 
 namespace pacor::serve {
 
-/// A structured design-load failure (ParseError-style): `field` names the
-/// offending request field (always "design" today), `reason` says why.
-/// The serve tiers render it as `err <design> field=<field> <reason>`
-/// instead of a bare `error` response -- the client can tell a malformed
-/// design token from a routing failure.
+/// A structured request-file failure (ParseError-style): `field` names the
+/// offending request field -- "design" for a design that cannot be loaded,
+/// or "delta", "sol", "metrics" or "trace" for a client-named path that is
+/// not a regular file -- and `reason` says why. The serve tiers render it
+/// as `err <design> field=<field> <reason>` instead of a bare `error`
+/// response -- the client can tell a malformed design token from a
+/// routing failure.
 class LoadError : public std::runtime_error {
  public:
   LoadError(std::string field, std::string reason)
@@ -73,11 +74,12 @@ chip::Chip loadDesign(const std::string& token);
 /// chip (mutated only by ECO edits), the routing obstacle template (static
 /// obstacles + blocked boundary cells, derived once instead of per
 /// request), the design's persistent EscapeFlowSession (warm-rebound into
-/// every request of the design), the previous routed result for ECO
-/// chains, and this design's trace session handle. The design's FIFO in
-/// Server::submit runs its requests one at a time, and a request routes
-/// entirely on the dispatcher thread that popped it, whose thread-local
-/// RouterWorkspace survives across requests without being owned here.
+/// every request of the design) and the previous routed result for ECO
+/// chains. The design's FIFO in Server::submit runs its requests one at a
+/// time, and a request routes entirely on the dispatcher thread that
+/// popped it. That thread's RouterWorkspace and trace session are
+/// thread-local, so they survive across requests without being owned
+/// here.
 class DesignContext {
  public:
   explicit DesignContext(chip::Chip chip);
@@ -87,14 +89,12 @@ class DesignContext {
   const grid::ObstacleMap& obstacleTemplate() const noexcept {
     return obstacleTemplate_;
   }
-  trace::Session& traceSession() noexcept { return traceSession_; }
 
  private:
   friend class Server;
 
   chip::Chip chip_;
   grid::ObstacleMap obstacleTemplate_;
-  trace::Session traceSession_;
 
   /// ECO fence: a route or gen holds it shared (the chip and template
   /// must stay put while a request reads them), an eco exclusively (it
@@ -102,8 +102,7 @@ class DesignContext {
   /// Server::execute, under the design's FIFO, so it is uncontended; a
   /// caller holding a context pin (Server::context) reads chip() and
   /// obstacleTemplate() without it and gets no consistency guarantee
-  /// against a concurrent eco request. Acquired after the server's trace
-  /// fence, always.
+  /// against a concurrent eco request.
   mutable std::shared_mutex stateMutex_;
 
   /// Persistent escape-flow session of this design, passed into every
@@ -289,14 +288,6 @@ class Server {
   /// Effective cap, mirrored out of AdmissionOptions at startDispatch so
   /// context() callers before it share it.
   std::atomic<std::size_t> maxDesigns_{AdmissionOptions{}.maxDesigns};
-
-  /// Trace ownership fence: tracing has one process-wide recorder, so a
-  /// traced request takes this exclusively (draining in-flight requests
-  /// and blocking new ones until its session ended), while untraced
-  /// requests run concurrently under shared locks. This is what keeps one
-  /// request's begin() from discarding another's events -- and keeps
-  /// concurrent requests' spans out of the active trace.
-  mutable std::shared_mutex traceFence_;
 
   /// Queue tier state, all under queueMutex_.
   mutable std::mutex queueMutex_;

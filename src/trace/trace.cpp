@@ -3,14 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <deque>
-#include <mutex>
 
 namespace pacor::trace {
-
-namespace detail {
-std::atomic<int> gLevel{static_cast<int>(Level::kOff)};
-}  // namespace detail
 
 namespace {
 
@@ -20,36 +14,12 @@ std::int64_t nowNs() noexcept {
       .count();
 }
 
-/// Per-thread event storage. Buffers are owned by the registry, not the
-/// threads: a recording thread may exit before endSession() merges its
-/// spans, while a server's dispatcher threads outlive many sessions. A thread re-acquires a fresh buffer per session
-/// (the session stamp invalidates the cached thread_local pointer), so
-/// one long-lived thread across two sessions never writes into a drained
-/// buffer.
-struct Buffer {
-  int tid = 0;
+/// The calling thread's session; detail::tlLevel says whether it records.
+struct ThreadSession {
+  std::int64_t t0 = 0;  ///< time origin (ns)
   std::vector<Event> events;
 };
-
-std::mutex gMutex;
-std::deque<Buffer> gBuffers;               // the active session's buffers
-std::atomic<std::uint64_t> gSession{0};    // bumped by Session::begin/end
-std::atomic<std::int64_t> gT0{0};          // session time origin (ns)
-std::atomic<Session*> gActive{nullptr};    // the session owning gBuffers
-
-thread_local Buffer* tlBuffer = nullptr;
-thread_local std::uint64_t tlSession = 0;
-
-Buffer& localBuffer() {
-  const std::uint64_t session = gSession.load(std::memory_order_acquire);
-  if (tlBuffer == nullptr || tlSession != session) {
-    std::lock_guard<std::mutex> lock(gMutex);
-    gBuffers.push_back(Buffer{static_cast<int>(gBuffers.size()), {}});
-    tlBuffer = &gBuffers.back();
-    tlSession = session;
-  }
-  return *tlBuffer;
-}
+thread_local ThreadSession tlSession;
 
 }  // namespace
 
@@ -61,67 +31,29 @@ std::optional<Level> parseLevel(std::string_view name) noexcept {
   return std::nullopt;
 }
 
-Session::~Session() {
-  if (active()) end();  // discard: nobody is left to receive the events
+void beginSession(Level level) {
+  tlSession.events.clear();
+  tlSession.t0 = nowNs();
+  detail::tlLevel = static_cast<int>(level);
 }
 
-void Session::begin(Level level) {
-  std::lock_guard<std::mutex> lock(gMutex);
-  // Mark the session we are about to kick out so its owner can tell a
-  // silent discard from a trace that was simply empty. gActive always
-  // points at a live session: a Session that dies while active ends (and
-  // clears gActive) in its destructor.
-  if (Session* prev = gActive.load(std::memory_order_relaxed);
-      prev != nullptr && prev != this)
-    prev->superseded_ = true;
-  superseded_ = false;
-  gBuffers.clear();  // invalidated thread_local pointers re-acquire below
-  gSession.fetch_add(1, std::memory_order_release);
-  gT0.store(nowNs(), std::memory_order_relaxed);
-  gActive.store(level > Level::kOff ? this : nullptr,
-                std::memory_order_relaxed);
-  detail::gLevel.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-std::vector<Event> Session::end() {
-  if (!active()) return {};
-  detail::gLevel.store(static_cast<int>(Level::kOff), std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(gMutex);
-  gActive.store(nullptr, std::memory_order_relaxed);
-  std::vector<Event> merged;
-  for (const Buffer& b : gBuffers)
-    merged.insert(merged.end(), b.events.begin(), b.events.end());
-  gBuffers.clear();
-  gSession.fetch_add(1, std::memory_order_release);
-  std::sort(merged.begin(), merged.end(), [](const Event& a, const Event& b) {
+std::vector<Event> endSession() {
+  if (!sessionActive()) return {};
+  detail::tlLevel = static_cast<int>(Level::kOff);
+  std::vector<Event> events;
+  events.swap(tlSession.events);
+  std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
     if (a.startNs != b.startNs) return a.startNs < b.startNs;
-    if (a.tid != b.tid) return a.tid < b.tid;
     return a.durNs > b.durNs;  // enclosing span first
   });
-  return merged;
+  return events;
 }
-
-bool Session::active() const noexcept {
-  return gActive.load(std::memory_order_relaxed) == this;
-}
-
-bool Session::superseded() const noexcept {
-  std::lock_guard<std::mutex> lock(gMutex);
-  return superseded_;
-}
-
-Session& defaultSession() noexcept {
-  static Session instance;
-  return instance;
-}
-
-bool sessionActive() noexcept { return enabled(Level::kStage); }
 
 Span::Span(const char* name, const char* cat, Level level) noexcept {
   if (!enabled(level)) return;
   name_ = name;
   cat_ = cat;
-  startNs_ = nowNs() - gT0.load(std::memory_order_relaxed);
+  startNs_ = nowNs() - tlSession.t0;
 }
 
 void Span::arg(const char* key, std::int64_t value) noexcept {
@@ -144,13 +76,11 @@ void Span::close() noexcept {
   e.name = name_;
   e.cat = cat_;
   e.startNs = start;
-  e.durNs = nowNs() - gT0.load(std::memory_order_relaxed) - start;
+  e.durNs = nowNs() - tlSession.t0 - start;
   if (e.durNs < 0) e.durNs = 0;
   e.args[0] = args_[0];
   e.args[1] = args_[1];
-  Buffer& buf = localBuffer();
-  e.tid = buf.tid;
-  buf.events.push_back(e);
+  tlSession.events.push_back(e);
 }
 
 std::string toChromeJson(const std::vector<Event>& events) {
@@ -170,9 +100,7 @@ std::string toChromeJson(const std::vector<Event>& events) {
     out += ", \"dur\": ";
     std::snprintf(num, sizeof num, "%.3f", static_cast<double>(e.durNs) / 1000.0);
     out += num;
-    out += ", \"pid\": 1, \"tid\": ";
-    std::snprintf(num, sizeof num, "%d", e.tid);
-    out += num;
+    out += ", \"pid\": 1, \"tid\": 0";
     if (e.args[0].key != nullptr) {
       out += ", \"args\": {";
       for (int a = 0; a < 2 && e.args[a].key != nullptr; ++a) {

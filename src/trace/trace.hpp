@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -24,17 +23,16 @@ enum class Level : int {
 std::optional<Level> parseLevel(std::string_view name) noexcept;
 
 namespace detail {
-/// Session level, read on every Span construction. Relaxed is enough: the
-/// only writers are beginSession/endSession, which the usage contract
-/// places strictly before/after the traced region.
-extern std::atomic<int> gLevel;
+/// The calling thread's session level, read on every Span construction.
+/// Only beginSession/endSession on the same thread write it.
+inline thread_local int tlLevel = static_cast<int>(Level::kOff);
 }  // namespace detail
 
-/// True when spans of `need` are being recorded. With tracing off this is
-/// a single relaxed atomic load + compare -- the entire disabled-path cost
-/// of the subsystem.
+/// True when the calling thread records spans of `need`. With tracing off
+/// this is one thread-local load and a compare -- the entire disabled-path
+/// cost of the subsystem.
 inline bool enabled(Level need = Level::kStage) noexcept {
-  return detail::gLevel.load(std::memory_order_relaxed) >= static_cast<int>(need);
+  return detail::tlLevel >= static_cast<int>(need);
 }
 
 /// One key/value annotation on a span. Keys must be string literals (or
@@ -52,83 +50,30 @@ struct Event {
   const char* cat = nullptr;
   std::int64_t startNs = 0;
   std::int64_t durNs = 0;
-  int tid = 0;  ///< per-thread buffer id, dense from 0 (0 = first tracer)
   Arg args[2];
 };
 
-/// A recording session as a first-class handle: owns the per-thread event
-/// buffers collected while it is the active recorder. At most one Session
-/// records at a time (Span construction reads one global level atomic, so
-/// the disabled path stays a single load); begin() on one session while
-/// another is active supersedes it, discarding the superseded session's
-/// events -- the same fate repeated beginSession() calls always had. The
-/// loser's superseded() flag is set so its owner can observe and report
-/// the discard; callers that must not lose events (the serve loop) are
-/// expected to serialize trace ownership instead of racing begin().
-///
-/// The process-wide default instance is defaultSession(); the historical
-/// free functions beginSession/endSession/sessionActive are thin wrappers
-/// over it, so existing call sites compile (and behave) unchanged. Local
-/// Session objects are for isolated collection -- a test or a library
-/// consumer can record a region without disturbing anyone holding events
-/// from the default instance.
-class Session {
- public:
-  Session() = default;
-  ~Session();  ///< ends (and discards) the session if still active
+/// Starts recording on the calling thread at `level` (kOff just ends the
+/// session). A session is per thread, one event vector and one time
+/// origin, and a span records into the session of the thread that opens
+/// it: threads trace side by side and each session holds only its own
+/// thread's spans. A routing request runs on one thread, so its session
+/// is its whole trace. Events of an earlier session on this thread are
+/// discarded. Call strictly before the traced region.
+void beginSession(Level level);
 
-  Session(const Session&) = delete;
-  Session& operator=(const Session&) = delete;
+/// Stops recording on the calling thread and returns its events sorted by
+/// start time, the enclosing span first. Empty when no session was active.
+std::vector<Event> endSession();
 
-  /// Makes this session the active recorder at `level` (kOff just ends
-  /// it). Any previously active session -- this one included -- is ended
-  /// first and its buffered events are discarded. Call strictly before
-  /// the traced region; spans already open keep their old session's fate.
-  void begin(Level level);
+/// True while the calling thread records.
+inline bool sessionActive() noexcept { return enabled(Level::kStage); }
 
-  /// Stops recording if this session is the active one, merges every
-  /// per-thread buffer, and returns the events sorted by (startNs, tid).
-  /// Returns an empty vector when this session was not active -- check
-  /// superseded() to distinguish "never began" from "another session's
-  /// begin() discarded my events".
-  std::vector<Event> end();
-
-  /// True between begin(level > kOff) and end() of *this* session.
-  bool active() const noexcept;
-
-  /// True when another session's begin() ended this one while it was
-  /// recording, discarding its buffered events before end() could collect
-  /// them. The flag survives end() (which then returns empty) so callers
-  /// can report the discard instead of silently accepting an empty trace;
-  /// it resets on the next begin() of this session.
-  bool superseded() const noexcept;
-
- private:
-  bool superseded_ = false;  ///< guarded by the trace registry mutex
-};
-
-/// The process-wide default session the free-function API drives.
-Session& defaultSession() noexcept;
-
-/// Starts a recording session at `level` (kOff clears and disables).
-/// Buffers from any previous session are discarded. Call strictly before
-/// the traced region -- spans already open keep their old session's fate.
-/// Equivalent to defaultSession().begin(level).
-inline void beginSession(Level level) { defaultSession().begin(level); }
-
-/// Stops recording, merges every per-thread buffer, and returns the
-/// events sorted by (startNs, tid). Returns an empty vector when no
-/// session was active. Equivalent to defaultSession().end().
-inline std::vector<Event> endSession() { return defaultSession().end(); }
-
-/// True while any session (default or local) is recording.
-bool sessionActive() noexcept;
-
-/// RAII scoped span. Construction is inert (no clock read, no buffer
-/// touch) unless the session level admits `level`; destruction records
-/// one Event into the calling thread's buffer. Spans on one thread must
-/// nest (natural for scoped lifetimes), which is what makes the merged
-/// trace laminar per tid.
+/// RAII scoped span. Construction is inert (no clock read, no event
+/// touch) unless the thread's session level admits `level`; destruction
+/// records one Event into the thread's session. Spans on one thread must
+/// nest (natural for scoped lifetimes), which is what makes a trace
+/// laminar.
 class Span {
  public:
   Span(const char* name, const char* cat, Level level = Level::kStage) noexcept;

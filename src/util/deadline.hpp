@@ -25,7 +25,7 @@ inline thread_local Deadline tlDeadline = kNoDeadline;
 
 /// RAII scope that sets this thread's deadline until destruction and
 /// restores the previous one on exit, so scopes nest; a nested scope can
-/// only tighten the deadline, never extend it. Like route::TallyScope it
+/// only tighten the deadline, never extend it. Like the trace session it
 /// is per-thread: a routing request runs entirely on the thread that
 /// installed it, so every poll of the request sees it.
 class DeadlineScope {

@@ -9,9 +9,9 @@
 //    which shares per-design obstacle templates across requests,
 //    sequentially and concurrently -- produce canonical solution text
 //    identical to a fresh one-shot routeChip.
-//  * Trace ownership: concurrent traced requests are serialized by the
-//    server, so both get their own complete trace and neither is
-//    silently discarded by supersession.
+//  * Trace isolation: a request traces on its own dispatcher thread, so
+//    concurrent traced requests each get exactly their own spans, and a
+//    traced request does not hold up other designs' requests.
 //  * Deadlines: a request stopped by its deadline has no effect -- no eco
 //    commit, no side files -- and an `ok` answer always committed.
 //
@@ -20,7 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -38,7 +40,6 @@
 #include "pacor/pipeline.hpp"
 #include "pacor/solution_io.hpp"
 #include "serve/serve.hpp"
-#include "trace/trace.hpp"
 #include "util/sha256.hpp"
 
 namespace pacor {
@@ -200,6 +201,20 @@ TEST(ServeIdentity, ConcurrentRequestsMatchOneShot) {
   EXPECT_EQ(server.designCount(), chips.size());
 }
 
+/// Spans named `name` in the Chrome trace file at `path`.
+int spanCount(const std::string& path, const std::string& name) {
+  std::ifstream in(path);
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string json = buf.str();
+  const std::string needle = "\"name\": \"" + name + "\"";
+  int count = 0;
+  for (auto at = json.find(needle); at != std::string::npos;
+       at = json.find(needle, at + needle.size()))
+    ++count;
+  return count;
+}
+
 TEST(ServeTrace, ConcurrentTracedRequestsBothRecord) {
   const chip::Chip chipA = chip::generateChip(chip::s2Params());
   const chip::Chip chipB = chip::generateChip(chip::s3Params());
@@ -220,11 +235,48 @@ TEST(ServeTrace, ConcurrentTracedRequestsBothRecord) {
 
   for (const serve::Response* resp : {&a, &b}) {
     ASSERT_TRUE(resp->ok) << resp->error;
-    EXPECT_FALSE(resp->traceDiscarded);
     EXPECT_GT(resp->traceSpans, 0);
   }
-  EXPECT_TRUE(std::ifstream(requestA.tracePath).good());
-  EXPECT_TRUE(std::ifstream(requestB.tracePath).good());
+  // One root span per file: neither request's spans landed in the other's
+  // trace.
+  EXPECT_EQ(spanCount(requestA.tracePath, "pacor.route"), 1);
+  EXPECT_EQ(spanCount(requestB.tracePath, "pacor.route"), 1);
+}
+
+TEST(ServeTrace, TracedRequestDoesNotStallOtherDesigns) {
+  // A traced route of a slow design runs on one dispatcher while S1
+  // requests run back to back on the other (two dispatchers, the
+  // default). The trace records on the slow request's own thread, so no
+  // S1 request waits for it: the worst S1 latency stays far below the
+  // traced route's. The bound is relative, so a slow host scales both
+  // sides; a traced request that ran alone would make them about equal.
+  const std::string slowDesign = "fpva:32x32";
+  serve::Server server;
+  server.context(slowDesign, [&] { return serve::loadDesign(slowDesign); });
+  server.context("S1", [] { return chip::generateChip(chip::s1Params()); });
+  serve::Request traced = requestFor(slowDesign);
+  traced.tracePath = testing::TempDir() + "serve_trace_stall.json";
+
+  using Clock = std::chrono::steady_clock;
+  const auto submitted = Clock::now();
+  auto slow = server.submit(traced);
+  Clock::duration worstS1{0};
+  do {
+    const auto start = Clock::now();
+    const serve::Response s1 = call(server, requestFor("S1"));
+    worstS1 = std::max(worstS1, Clock::now() - start);
+    ASSERT_TRUE(s1.ok) << s1.error;
+  } while (slow.wait_for(std::chrono::seconds(0)) != std::future_status::ready);
+  const auto tracedLatency = Clock::now() - submitted;
+  const serve::Response resp = slow.get();
+  ASSERT_TRUE(resp.ok) << resp.error;
+  EXPECT_GT(resp.traceSpans, 0);
+  const auto ms = [](Clock::duration d) {
+    return std::chrono::duration<double, std::milli>(d).count();
+  };
+  EXPECT_LT(2 * worstS1, tracedLatency)
+      << "worst S1 " << ms(worstS1) << " ms during a " << ms(tracedLatency)
+      << " ms traced route";
 }
 
 /// An interior cell owned by nothing in the routed design: legal to turn
@@ -481,8 +533,7 @@ TEST(ServeEco, ExpiredEcoDoesNotCommitTheDelta) {
 
 TEST(ServeCancel, ExpiredRequestWritesNoSideFiles) {
   // A request answered `err ... field=deadline` writes no sol=, metrics=
-  // or trace= file, and its trace session has ended (left recording, it
-  // would capture every later request); the `ok` one writes all three.
+  // or trace= file; the `ok` one writes all three.
   serve::Server server;
   const std::string solPath = testing::TempDir() + "serve_cancel.sol";
   const std::string metricsPath = testing::TempDir() + "serve_cancel.json";
@@ -508,7 +559,6 @@ TEST(ServeCancel, ExpiredRequestWritesNoSideFiles) {
         EXPECT_FALSE(std::ifstream(solPath).good());
         EXPECT_FALSE(std::ifstream(metricsPath).good());
         EXPECT_FALSE(std::ifstream(tracePath).good());
-        EXPECT_FALSE(trace::sessionActive());
         removeFiles();
       },
       expiredExecuting);

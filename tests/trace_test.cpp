@@ -1,17 +1,21 @@
 // Tests for the tracing + metrics subsystem (src/trace): registry
-// semantics, zero-emission when disabled, span coverage of the five
-// pipeline stages, laminar nesting of search-level traces with unchanged
-// routed output, and the Chrome trace_event JSON shape.
+// semantics, zero-emission when disabled, thread-scoped sessions, span
+// coverage of the five pipeline stages, laminar nesting of search-level
+// traces with unchanged routed output, and the Chrome trace_event JSON
+// shape.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "chip/generator.hpp"
 #include "pacor/pipeline.hpp"
 #include "pacor/solution_io.hpp"
 #include "trace/metrics.hpp"
@@ -121,11 +125,9 @@ TEST(Trace, SerialRunCoversAllFiveStages) {
         "stage.mst_routing", "stage.escape", "stage.detour"})
     EXPECT_TRUE(contains(got, stage)) << "missing span " << stage;
 
-  // Everything ran on one thread at kStage, and the root span covers the
-  // stage spans.
+  // The root span covers the stage spans.
   std::int64_t rootStart = 0, rootEnd = 0;
   for (const trace::Event& e : events) {
-    EXPECT_EQ(e.tid, 0);
     if (std::string(e.name) == "pacor.route") {
       rootStart = e.startNs;
       rootEnd = e.startNs + e.durNs;
@@ -152,9 +154,6 @@ TEST(Trace, SearchTraceIsLaminarAndOutputUnchanged) {
   EXPECT_GT(events.size(), 6u);
   EXPECT_TRUE(contains(names(events), "route.astar"));
 
-  // A route runs on one thread, so the whole trace carries one tid.
-  for (const trace::Event& e : events) EXPECT_EQ(e.tid, 0) << e.name;
-
   // Spans are laminar: any two either nest or are disjoint.
   for (std::size_t i = 0; i < events.size(); ++i)
     for (std::size_t j = i + 1; j < events.size(); ++j) {
@@ -167,61 +166,76 @@ TEST(Trace, SearchTraceIsLaminarAndOutputUnchanged) {
           << events[j].name << " [" << bS << "," << bE << ")";
     }
 
-  // The merge is sorted by start time.
+  // The trace is sorted by start time.
   for (std::size_t i = 1; i < events.size(); ++i)
     EXPECT_LE(events[i - 1].startNs, events[i].startNs);
 }
 
-TEST(Trace, SessionHandleCollectsItsOwnEvents) {
-  // A local Session records a region in isolation; the free-function API
-  // (backed by the default instance) sees nothing of it.
-  trace::Session local;
-  EXPECT_FALSE(local.active());
-  local.begin(trace::Level::kStage);
-  EXPECT_TRUE(local.active());
-  EXPECT_TRUE(trace::sessionActive());
-  { trace::Span span("local.work", "test"); }
-  EXPECT_TRUE(trace::endSession().empty());  // default instance not active
-  EXPECT_TRUE(local.active());               // ... and did not end `local`
-  const auto events = local.end();
-  EXPECT_FALSE(local.active());
-  EXPECT_TRUE(contains(names(events), "local.work"));
-  EXPECT_TRUE(local.end().empty());  // ended sessions return nothing
+TEST(Trace, SearchSpansAddUpToTheSearchCounters) {
+  // Each search span carries that search's own effort, so the spans add up
+  // to the request's search counters. The escape block also holds the flow
+  // solver's passes, settles and augmentations, which have no search span.
+  // S4 runs several bounded-length searches, so the visits sum is checked
+  // across searches too.
+  trace::beginSession(trace::Level::kSearch);
+  const auto result = core::routeChip(chip::generateChip(chip::s4Params()));
+  const auto events = trace::endSession();
+
+  std::int64_t searches = 0, expansions = 0, visits = 0;
+  for (const trace::Event& e : events) {
+    const std::string name = e.name;
+    if (name != "route.astar" && name != "route.bounded_dfs") continue;
+    ++searches;
+    for (const trace::Arg& a : e.args) {
+      if (a.key == nullptr) continue;
+      if (std::string(a.key) == "expansions") expansions += a.value;
+      if (std::string(a.key) == "visits") visits += a.value;
+    }
+  }
+  const trace::MetricsRegistry& m = result.metrics;
+  const auto total = [&m](const std::string& counter) {
+    return m.getInt("search.cluster_routing." + counter) +
+           m.getInt("search.escape." + counter) +
+           m.getInt("search.detour." + counter);
+  };
+  EXPECT_GT(expansions, 0);
+  EXPECT_GT(visits, 0);
+  EXPECT_EQ(searches, total("searches") - m.getInt("escape.flow.dijkstra_passes"));
+  EXPECT_EQ(expansions, total("expansions") - m.getInt("escape.flow.settles"));
+  EXPECT_EQ(visits, total("bounded_visits") - m.getInt("escape.flow.augmentations"));
 }
 
-TEST(Trace, SessionBeginSupersedesActiveRecorder) {
-  trace::Session first;
-  trace::Session second;
-  first.begin(trace::Level::kStage);
-  { trace::Span span("first.work", "test"); }
-  second.begin(trace::Level::kStage);  // discards first's events
-  EXPECT_FALSE(first.active());
-  EXPECT_TRUE(second.active());
-  // The loser is told about the discard instead of just returning an
-  // empty event list (callers like the serve loop surface this).
-  EXPECT_TRUE(first.superseded());
-  EXPECT_FALSE(second.superseded());
-  { trace::Span span("second.work", "test"); }
-  EXPECT_TRUE(first.end().empty());
-  const auto events = second.end();
-  EXPECT_TRUE(contains(names(events), "second.work"));
-  EXPECT_FALSE(contains(names(events), "first.work"));
-  EXPECT_FALSE(trace::sessionActive());
-
-  // A fresh begin() clears the stale flag.
-  first.begin(trace::Level::kStage);
-  EXPECT_FALSE(first.superseded());
-  first.end();
-}
-
-TEST(Trace, DefaultSessionBacksFreeFunctions) {
-  EXPECT_FALSE(trace::defaultSession().active());
-  trace::beginSession(trace::Level::kStage);
-  EXPECT_TRUE(trace::defaultSession().active());
-  { trace::Span span("default.work", "test"); }
-  const auto events = trace::defaultSession().end();  // mix-and-match APIs
-  EXPECT_TRUE(contains(names(events), "default.work"));
-  EXPECT_FALSE(trace::sessionActive());
+TEST(Trace, SessionsAreThreadScoped) {
+  // Threads A and B record at once, each in its own session; C records
+  // with no session. Each thread opens its span only after all three have
+  // started, and ends its session only after all three spans closed, so
+  // a shared recorder would show up as a foreign span.
+  std::atomic<int> started{0};
+  std::atomic<int> closed{0};
+  const auto waitFor = [](const std::atomic<int>& count) {
+    while (count.load() < 3) std::this_thread::yield();
+  };
+  const auto work = [&](const char* name, bool traced,
+                        std::vector<trace::Event>& out) {
+    if (traced) trace::beginSession(trace::Level::kStage);
+    ++started;
+    waitFor(started);
+    { trace::Span span(name, "test"); }
+    ++closed;
+    waitFor(closed);
+    out = trace::endSession();
+  };
+  std::vector<trace::Event> a, b, c;
+  std::thread ta(work, "thread.a", true, std::ref(a));
+  std::thread tb(work, "thread.b", true, std::ref(b));
+  std::thread tc(work, "thread.c", false, std::ref(c));
+  ta.join();
+  tb.join();
+  tc.join();
+  EXPECT_EQ(names(a), std::vector<std::string>{"thread.a"});
+  EXPECT_EQ(names(b), std::vector<std::string>{"thread.b"});
+  EXPECT_TRUE(c.empty());
+  EXPECT_FALSE(trace::sessionActive());  // nor did this thread record
 }
 
 TEST(Trace, ChromeJsonShapeAndFileRoundTrip) {

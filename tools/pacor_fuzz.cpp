@@ -49,9 +49,11 @@
 //   pacor_fuzz [--designs=N] [--seed=S] [--dump=DIR] [--verbose]
 //              [--trace=FILE]
 //
-// --trace=FILE records the first design's runs at search granularity and
-// writes one Chrome trace_event file, exercising the tracing subsystem
-// under the same build (e.g. ASan in CI).
+// --trace=FILE records the first design's runs on the main thread at
+// search granularity and writes one Chrome trace_event file, exercising
+// the tracing subsystem under the same build (e.g. ASan in CI). The serve
+// property's requests run on dispatcher threads, whose sessions are their
+// own, so they are not in the file.
 //
 // Exit code 0 when every design passed, 1 otherwise, 2 on usage errors.
 
@@ -792,8 +794,8 @@ int main(int argc, char** argv) {
   serve::Server server;  // shared across all seeds (property e)
   for (std::uint32_t i = 0; i < opt.designs; ++i) {
     const std::uint32_t seed = opt.seed + i;
-    // Trace the first design end to end so the tracing subsystem is
-    // exercised under the harness build's sanitizers.
+    // Trace the first design's main-thread runs so the tracing subsystem
+    // is exercised under the harness build's sanitizers.
     const bool traceThis = i == 0 && !opt.tracePath.empty();
     if (traceThis) trace::beginSession(trace::Level::kSearch);
     try {
