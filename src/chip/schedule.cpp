@@ -89,7 +89,10 @@ AssaySchedule synthesizeAssay(std::size_t valveCount, std::int32_t horizon,
           1 + static_cast<std::int32_t>(rng() % static_cast<unsigned>(
                                             std::max<std::int32_t>(1, (horizon - cursor) / 2)));
       ScheduledOperation op;
-      op.name = "g" + std::to_string(g) + "_op" + std::to_string(k);
+      op.name = "g";
+      op.name += std::to_string(g);
+      op.name += "_op";
+      op.name += std::to_string(k);
       op.start = cursor;
       op.end = std::min<std::int32_t>(horizon, cursor + len);
       // Alternate the group's members between gate (closed) and path

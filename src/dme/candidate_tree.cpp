@@ -112,19 +112,22 @@ Point snapToRealLattice(const TiltedRect& region, Point desiredTilted) {
   return {roundTo4(x2), roundTo4(y2)};
 }
 
+/// Ring-search cap (cells) of merging-node legalization.
+constexpr int kRingSearchRadius = 64;
+
 /// Expanding-loop merging-node legalization (paper Sec. 4.1): scan
-/// Chebyshev rings of increasing radius around the desired cell for a
-/// routing-usable cell outside `forbidden`; the scan start rotates with
-/// `rotation` to diversify candidates.
+/// Chebyshev rings of increasing radius (up to kRingSearchRadius) around
+/// the desired cell for a routing-usable cell outside `forbidden`; the
+/// scan start rotates with `rotation` to diversify candidates.
 std::optional<Point> ringSearch(const grid::ObstacleMap& obstacles, grid::NetId net,
-                                Point desired, int maxRadius, int rotation,
+                                Point desired, int rotation,
                                 const std::unordered_set<Point>& forbidden) {
   const grid::Grid& g = obstacles.grid();
   const auto usable = [&](Point c) {
     return g.inBounds(c) && obstacles.isFreeFor(c, net) && !forbidden.contains(c);
   };
   if (usable(desired)) return desired;
-  for (int r = 1; r <= maxRadius; ++r) {
+  for (int r = 1; r <= kRingSearchRadius; ++r) {
     std::vector<Point> ring;
     ring.reserve(static_cast<std::size_t>(8 * r));
     for (std::int32_t dx = -r; dx <= r; ++dx) {
@@ -151,7 +154,6 @@ struct Embedder {
   std::span<const Point> sinks;
   const Topology& topo;
   const MergePlan& plan;
-  const CandidateOptions& options;
   std::unordered_set<Point> sinkCells;
 
   /// Builds one candidate for a given root placement and variation index.
@@ -163,7 +165,7 @@ struct Embedder {
 
     const auto rootIdx = static_cast<std::size_t>(topo.root);
     const auto legalRoot =
-        ringSearch(obstacles, net, rootCell, options.ringSearchRadius, variant, sinkCells);
+        ringSearch(obstacles, net, rootCell, variant, sinkCells);
     if (!legalRoot) return std::nullopt;
     cand.embed[rootIdx] = *legalRoot;
 
@@ -194,7 +196,6 @@ struct Embedder {
     for (std::size_t i = 0; i < topo.nodes.size(); ++i) {
       if (topo.nodes[i].isLeaf()) continue;
       const auto legal = ringSearch(obstacles, net, cand.embed[i],
-                                    options.ringSearchRadius,
                                     variant + static_cast<int>(i), sinkCells);
       if (!legal) return std::nullopt;
       cand.embed[i] = *legal;
@@ -276,7 +277,7 @@ std::vector<DmeCandidate> buildCandidateTrees(const grid::ObstacleMap& obstacles
   }
   const MergePlan plan = computeMergePlan(topo, sinks);
 
-  Embedder embedder{obstacles, net, sinks, topo, plan, options, {}};
+  Embedder embedder{obstacles, net, sinks, topo, plan, {}};
   embedder.sinkCells.insert(sinks.begin(), sinks.end());
 
   const TiltedRect& rootRegion = plan.nodes[static_cast<std::size_t>(topo.root)].region;

@@ -35,8 +35,7 @@ struct DmeCandidate {
 };
 
 struct CandidateOptions {
-  int count = 5;             ///< candidate trees per cluster
-  int ringSearchRadius = 64; ///< obstacle-avoid expanding-loop cap (cells)
+  int count = 5;  ///< candidate trees per cluster
 };
 
 /// Builds up to `options.count` candidate trees for the sinks of one

@@ -41,10 +41,6 @@ struct TiltedRect {
     const Point t = toTilted(p);
     return {t, t};
   }
-  static constexpr TiltedRect fromTiltedCorners(Point a, Point b) noexcept {
-    return {{std::min(a.x, b.x), std::min(a.y, b.y)},
-            {std::max(a.x, b.x), std::max(a.y, b.y)}};
-  }
 
   friend constexpr bool operator==(const TiltedRect&, const TiltedRect&) noexcept = default;
 

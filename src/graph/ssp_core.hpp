@@ -97,7 +97,6 @@ class SspCore {
   /// heap. Both settle in the identical (distance, node) order; the knob
   /// exists for differential tests and the solver microbenchmark.
   void setBucketQueue(bool on) noexcept { useBucketQueue_ = on; }
-  bool bucketQueue() const noexcept { return useBucketQueue_; }
 
   /// Bounds of the Dial bucket span (distance labels below the span go to
   /// buckets; at or above it, to the overflow heap). The floor keeps the

@@ -13,6 +13,11 @@
 namespace pacor::core {
 namespace {
 
+/// Exact MWCP selection is used up to this candidate count; larger
+/// instances fall back to greedy + local search (the ILP-scale escape
+/// hatch).
+constexpr std::size_t kExactSelectionLimit = 400;
+
 /// One candidate plan for a cluster: either a DME candidate tree or the
 /// fixed direct edge of a two-valve cluster.
 struct CandidatePlan {
@@ -49,17 +54,15 @@ CandidatePlan directEdgePlan(const chip::Chip& chip, const WorkCluster& wc) {
   return plan;
 }
 
-std::vector<CandidatePlan> dmePlans(const chip::Chip& chip, const PacorConfig& config,
+std::vector<CandidatePlan> dmePlans(const chip::Chip& chip,
                                     const grid::ObstacleMap& obstacles,
                                     const WorkCluster& wc) {
   std::vector<Point> sinks;
   sinks.reserve(wc.spec.valves.size());
   for (const chip::ValveId v : wc.spec.valves) sinks.push_back(chip.valve(v).pos);
 
-  dme::CandidateOptions opt = config.candidates;
-  opt.ringSearchRadius = config.legalizeRadius;
   std::vector<CandidatePlan> plans;
-  for (auto& cand : dme::buildCandidateTrees(obstacles, wc.net, sinks, opt)) {
+  for (auto& cand : dme::buildCandidateTrees(obstacles, wc.net, sinks)) {
     CandidatePlan plan;
     plan.mismatchEstimate = cand.mismatchEstimate;
     for (const auto& [p, c] : cand.edges())
@@ -71,24 +74,18 @@ std::vector<CandidatePlan> dmePlans(const chip::Chip& chip, const PacorConfig& c
   return plans;
 }
 
-/// Negotiation edges + detour bookkeeping for a chosen plan.
-struct EdgeBundle {
+/// Negotiation edges of a chosen plan, in tree-edge order.
+std::vector<route::NegotiationEdge> edgesFor(const chip::Chip& chip,
+                                             const WorkCluster& wc,
+                                             const CandidatePlan& plan, int group) {
   std::vector<route::NegotiationEdge> edges;
-  /// Per edge: the (parent, child) topology nodes (DME) or {-1, -1}.
-  std::vector<std::pair<int, int>> topoEdges;
-};
-
-EdgeBundle bundleFor(const chip::Chip& chip, const WorkCluster& wc,
-                     const CandidatePlan& plan, int group) {
-  EdgeBundle bundle;
   if (!plan.tree) {
     route::NegotiationEdge e;
     e.a = {chip.valve(wc.spec.valves[0]).pos};
     e.b = {chip.valve(wc.spec.valves[1]).pos};
     e.group = group;
-    bundle.edges.push_back(std::move(e));
-    bundle.topoEdges.push_back({-1, -1});
-    return bundle;
+    edges.push_back(std::move(e));
+    return edges;
   }
   const dme::DmeCandidate& tree = *plan.tree;
   for (const auto& [p, c] : tree.edges()) {
@@ -96,14 +93,13 @@ EdgeBundle bundleFor(const chip::Chip& chip, const WorkCluster& wc,
     e.a = {tree.embed[static_cast<std::size_t>(c)]};   // child first: route
     e.b = {tree.embed[static_cast<std::size_t>(p)]};   // toward the parent
     e.group = group;
-    bundle.edges.push_back(std::move(e));
-    bundle.topoEdges.push_back({p, c});
+    edges.push_back(std::move(e));
   }
-  return bundle;
+  return edges;
 }
 
 /// Fills the cluster's tree paths, tap, and per-sink path sequences from
-/// the routed bundle. Paths arrive aligned with bundle.edges.
+/// the routed edges. Paths arrive aligned with edgesFor's order.
 void commitStructure(const chip::Chip& chip, WorkCluster& wc, const CandidatePlan& plan,
                      std::vector<route::Path> paths) {
   wc.treePaths.clear();
@@ -179,7 +175,7 @@ LmRoutingStats routeLengthMatchingClusters(const chip::Chip& chip,
       plans[i].push_back(directEdgePlan(chip, wc));
       ++stats.pairClusters;
     } else {
-      plans[i] = dmePlans(chip, config, obstacles, wc);
+      plans[i] = dmePlans(chip, obstacles, wc);
       ++stats.dmeClusters;
     }
     stats.candidatesBuilt += static_cast<int>(plans[i].size());
@@ -230,7 +226,7 @@ LmRoutingStats routeLengthMatchingClusters(const chip::Chip& chip,
       }
     }
 
-    const auto solution = problem.candidateCount() <= config.exactSelectionLimit
+    const auto solution = problem.candidateCount() <= kExactSelectionLimit
                               ? problem.solveExact()
                               : problem.solveGreedy();
     stats.selectionExact = solution.exact;
@@ -250,17 +246,18 @@ LmRoutingStats routeLengthMatchingClusters(const chip::Chip& chip,
     std::size_t localIdx;
   };
   std::vector<EdgeOrigin> origins;
-  std::vector<EdgeBundle> bundles(clusters.size());
+  std::vector<std::vector<route::Path>> clusterPaths(clusters.size());
   for (const std::size_t i : active) {
-    bundles[i] = bundleFor(chip, *clusters[i], plans[i][chosen[i]], static_cast<int>(i));
-    for (std::size_t e = 0; e < bundles[i].edges.size(); ++e) {
-      allEdges.push_back(bundles[i].edges[e]);
+    std::vector<route::NegotiationEdge> edges =
+        edgesFor(chip, *clusters[i], plans[i][chosen[i]], static_cast<int>(i));
+    clusterPaths[i].resize(edges.size());
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      allEdges.push_back(std::move(edges[e]));
       origins.push_back({i, e});
     }
   }
 
-  const auto negotiated =
-      route::negotiatedRoute(obstacles, allEdges, config.negotiation);
+  const auto negotiated = route::negotiatedRoute(obstacles, allEdges);
   stats.negotiationIterations = negotiated.iterations;
   spanNegotiation.arg("edges", static_cast<std::int64_t>(allEdges.size()));
   spanNegotiation.arg("iterations", negotiated.iterations);
@@ -268,10 +265,7 @@ LmRoutingStats routeLengthMatchingClusters(const chip::Chip& chip,
 
   // 4. Commit fully-routed clusters; demote the rest.
   trace::Span spanCommit("lm.commit", "cluster_routing");
-  std::vector<std::vector<route::Path>> clusterPaths(clusters.size());
   std::vector<bool> clusterOk(clusters.size(), true);
-  for (const std::size_t i : active)
-    clusterPaths[i].resize(bundles[i].edges.size());
   for (std::size_t e = 0; e < allEdges.size(); ++e) {
     const EdgeOrigin& o = origins[e];
     if (negotiated.routed[e])

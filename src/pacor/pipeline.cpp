@@ -22,6 +22,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// De-clustering / rip-up rounds of the escape stage (Fig. 2 loop).
+constexpr int kMaxEscapeRounds = 5;
+
+/// Matching-driven rip-up passes: when a constrained cluster routes but
+/// cannot be equalized (its escape anchored at a leaf because a plain
+/// tree walls it in), relax the nearest plain blocker and redo the escape
+/// + detour stages this many times.
+constexpr int kMatchingRetries = 1;
+
 double seconds(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
@@ -214,9 +223,6 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
       lmClusters.push_back(&wc);
   const LmRoutingStats lmStats =
       routeLengthMatchingClusters(chip, config, obstacles, lmClusters);
-  result.lmCandidatesBuilt = lmStats.candidatesBuilt;
-  result.selectionExact = lmStats.selectionExact;
-  result.negotiationIterations = lmStats.negotiationIterations;
   spanLm.arg("lm_clusters", static_cast<std::int64_t>(lmClusters.size()));
   spanLm.arg("candidates", lmStats.candidatesBuilt);
   spanLm.close();
@@ -231,19 +237,18 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   const route::SearchCounters tallyRoute = searchWorkspace.counters();
   result.searchClusterRouting = tallyRoute - tally0;
 
+  // Detour effort of every detourClusterForMatching call of the run (its
+  // counters only ever increment).
+  DetourStats detourStats;
+
   // --- Optional: detour-first baseline (match around the tap) ------------
   if (config.detourStage == DetourStage::kAfterClusterRouting) {
     trace::Span spanFirst("detour.first_pass", "pipeline");
     for (WorkCluster& wc : clusters) {
       if (!wc.lmStructured || !wc.internallyRouted || wc.ecoFrozen) continue;
-      DetourStats stats;
       detourClusterForMatching(chip, obstacles, wc, wc.tap, chip.delta,
-                               config.detourIterations, &stats,
+                               config.detourIterations, &detourStats,
                                config.useBoundedDetour);
-      result.detourReroutes += stats.reroutes;
-      result.detourBumpFallbacks += stats.bumpFallbacks;
-      result.detourIterations += stats.iterations;
-      result.detourRestores += stats.restores;
     }
   }
 
@@ -267,28 +272,27 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   std::int64_t escapeFlowCost = 0;
   std::int64_t escapeFirstCost = -1;   // first pass with pending demand
   std::int64_t escapeFirstRouted = -1;
+  // Escape rip-up remedy decisions across all rounds (incl. retries).
+  int escapeWideTapRemedies = 0;  // matched trees given a wide tap
+  int escapeDemotions = 0;        // matched trees demoted to plain
+  int escapeSplits = 0;           // plain trees force-split in half
   const auto escapePass = [&](std::span<WorkCluster*> ptrs) {
-    EscapeOutcome outcome;
-    if (config.escapeMode != EscapeMode::kMinCostFlow) {
-      outcome = escapeRouteSequential(chip, obstacles, ptrs);
-    } else {
-      if (escapeSession == nullptr) {
-        if (escapeSessionSlot && !escapeSessionSlot->compatibleWith(chip))
-          escapeSessionSlot.reset();
-        if (escapeSessionSlot) {
-          // Warm reuse: baseline the counters before this request's work.
-          escapeStats0 = escapeSessionSlot->stats();
-          escapeSessionSlot->rebind(chip, obstacles);
-        } else {
-          escapeSessionSlot = std::make_unique<EscapeFlowSession>(chip, obstacles);
-          // Fresh construction belongs to this request: baseline zero so
-          // the cold build shows up in the request's metrics.
-          escapeStats0 = EscapeFlowSession::Stats{};
-        }
-        escapeSession = escapeSessionSlot.get();
+    if (escapeSession == nullptr) {
+      if (escapeSessionSlot && !escapeSessionSlot->compatibleWith(chip))
+        escapeSessionSlot.reset();
+      if (escapeSessionSlot) {
+        // Warm reuse: baseline the counters before this request's work.
+        escapeStats0 = escapeSessionSlot->stats();
+        escapeSessionSlot->rebind(chip, obstacles);
+      } else {
+        escapeSessionSlot = std::make_unique<EscapeFlowSession>(chip, obstacles);
+        // Fresh construction belongs to this request: baseline zero so
+        // the cold build shows up in the request's metrics.
+        escapeStats0 = EscapeFlowSession::Stats{};
       }
-      outcome = escapeSession->route(ptrs);
+      escapeSession = escapeSessionSlot.get();
     }
+    EscapeOutcome outcome = escapeSession->route(ptrs);
     escapeFlowBuildS += outcome.flowBuildSeconds;
     escapeFlowRunS += outcome.flowRunSeconds;
     const auto& fc = outcome.flowCounters;
@@ -310,7 +314,7 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
     return outcome;
   };
   const auto runEscapeLoop = [&] {
-    for (int round = 0; round < config.maxEscapeRounds; ++round) {
+    for (int round = 0; round < kMaxEscapeRounds; ++round) {
       util::checkDeadline();
       trace::Span roundSpan("escape.round", "escape", trace::Level::kCluster);
       roundSpan.arg("round", round);
@@ -321,7 +325,7 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
       const EscapeOutcome outcome = escapePass(ptrs);
       roundSpan.arg("failed", static_cast<std::int64_t>(outcome.failed.size()));
       if (outcome.failed.empty()) break;
-      if (round + 1 >= config.maxEscapeRounds) break;
+      if (round + 1 >= kMaxEscapeRounds) break;
 
       // Decide the remedies BEFORE touching any routing: a walled-in
       // matched tree first gets a wide tap (matching is restored by the
@@ -368,7 +372,7 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
           wc.tapCells.assign(cells.begin(), cells.end());
           std::sort(wc.tapCells.begin(), wc.tapCells.end());
           wc.wideTap = true;
-          ++result.escapeWideTapRemedies;
+          ++escapeWideTapRemedies;
           next.push_back(std::move(wc));
           continue;
         }
@@ -385,12 +389,12 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
           wc.treePaths.clear();
           wc.sinkSequences.clear();
           ++result.declusteredCount;
-          ++result.escapeDemotions;
+          ++escapeDemotions;
           auto parts = routeWithDeclustering(chip, obstacles, std::move(wc),
                                              allocateNet, &result.declusteredCount);
           for (auto& p : parts) next.push_back(std::move(p));
         } else {
-          ++result.escapeSplits;
+          ++escapeSplits;
           auto parts = forceSplit(chip, obstacles, std::move(wc), allocateNet,
                                   &result.declusteredCount);
           for (auto& p : parts) next.push_back(std::move(p));
@@ -410,14 +414,9 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
         rebuildDetourStructure(chip, wc);
       const geom::Point origin = chip.pin(wc.pin).pos;
       if (config.detourStage == DetourStage::kFinal) {
-        DetourStats stats;
         detourClusterForMatching(chip, obstacles, wc, origin, chip.delta,
-                                 config.detourIterations, &stats,
+                                 config.detourIterations, &detourStats,
                                  config.useBoundedDetour);
-        result.detourReroutes += stats.reroutes;
-        result.detourBumpFallbacks += stats.bumpFallbacks;
-        result.detourIterations += stats.iterations;
-        result.detourRestores += stats.restores;
       } else {
         // Detour-first: verify that tap-side matching survived escape.
         const auto lengths = measureValveLengths(chip, wc, origin);
@@ -449,7 +448,7 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   // not be equalized (typically a wide tap anchored at a leaf because a
   // plain tree walls it in) gets one more chance: relax the nearest plain
   // blocker, re-run the escape flow from scratch, and detour again.
-  for (int retry = 0; retry < config.matchingRetries; ++retry) {
+  for (int retry = 0; retry < kMatchingRetries; ++retry) {
     util::checkDeadline();
     if (config.detourStage != DetourStage::kFinal) break;
     std::vector<std::size_t> hopeless;
@@ -479,7 +478,7 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
     for (std::size_t i = 0; i < clusters.size(); ++i) {
       WorkCluster& wc = clusters[i];
       if (relax[i]) {
-        ++result.escapeSplits;
+        ++escapeSplits;
         auto parts = forceSplit(chip, obstacles, std::move(wc), allocateNet,
                                 &result.declusteredCount);
         for (auto& p : parts) next.push_back(std::move(p));
@@ -499,8 +498,8 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
     runEscapeLoop();
     runFinalDetour();
   }
-  spanDetour.arg("reroutes", result.detourReroutes);
-  spanDetour.arg("restores", result.detourRestores);
+  spanDetour.arg("reroutes", detourStats.reroutes);
+  spanDetour.arg("restores", detourStats.restores);
   spanDetour.close();
   const auto tDetourEnd = Clock::now();
   result.times.detour = seconds(tEscapeEnd, tDetourEnd);
@@ -552,17 +551,16 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   m.setReal("lm.selection_objective", lmStats.selectionObjective);
   m.setInt("lm.negotiation_iterations", lmStats.negotiationIterations);
   m.setInt("escape.rounds", result.escapeRounds);
-  m.setInt("escape.wide_tap_remedies", result.escapeWideTapRemedies);
-  m.setInt("escape.demotions", result.escapeDemotions);
-  m.setInt("escape.splits", result.escapeSplits);
-  // Escape-session rounds and per-round deltas; zeros when no min-cost-flow
-  // pass ran (the sequential ablation) so the schema stays stable.
-  // Counters are diffed against the pre-request snapshot so a session
-  // shared across serve requests still reports per-request numbers
-  // (cold_builds = 0 is the signature of a warm cross-request reuse).
+  m.setInt("escape.wide_tap_remedies", escapeWideTapRemedies);
+  m.setInt("escape.demotions", escapeDemotions);
+  m.setInt("escape.splits", escapeSplits);
+  // Escape-session rounds and per-round deltas. The first escape round
+  // always prepares the session. Counters are diffed against the
+  // pre-request snapshot so a session shared across serve requests still
+  // reports per-request numbers (cold_builds = 0 is the signature of a
+  // warm cross-request reuse).
   {
-    const EscapeFlowSession::Stats es =
-        escapeSession != nullptr ? escapeSession->stats() : EscapeFlowSession::Stats{};
+    const EscapeFlowSession::Stats es = escapeSession->stats();
     m.setInt("escape.flow.cold_builds", es.coldBuilds - escapeStats0.coldBuilds);
     m.setInt("escape.flow.warm_rounds", es.warmRounds - escapeStats0.warmRounds);
     m.setInt("escape.flow.warm_delta_cells",
@@ -595,10 +593,10 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   // occupancy read and tap arcs) and solve time across every escape pass.
   m.setReal("time.escape_flow_build_s", escapeFlowBuildS);
   m.setReal("time.escape_flow_run_s", escapeFlowRunS);
-  m.setInt("detour.reroutes", result.detourReroutes);
-  m.setInt("detour.bump_fallbacks", result.detourBumpFallbacks);
-  m.setInt("detour.iterations", result.detourIterations);
-  m.setInt("detour.restores", result.detourRestores);
+  m.setInt("detour.reroutes", detourStats.reroutes);
+  m.setInt("detour.bump_fallbacks", detourStats.bumpFallbacks);
+  m.setInt("detour.iterations", detourStats.iterations);
+  m.setInt("detour.restores", detourStats.restores);
   const auto fillSearch = [&m](const std::string& prefix,
                                const route::SearchCounters& c) {
     m.setInt(prefix + ".searches", static_cast<std::int64_t>(c.searches));

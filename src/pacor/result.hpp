@@ -64,20 +64,6 @@ struct PacorResult {
   int escapeRounds = 0;     ///< de-clustering / rip-up rounds used
   int declusteredCount = 0; ///< clusters split or demoted during rip-up
 
-  // Stage diagnostics (filled by the pipeline).
-  int lmCandidatesBuilt = 0;      ///< candidate Steiner trees constructed
-  bool selectionExact = true;     ///< MWCP solved to optimality (vs heuristic)
-  int negotiationIterations = 0;  ///< Alg. 1 iterations consumed
-  int detourReroutes = 0;         ///< successful bounded-length reroutes
-  int detourBumpFallbacks = 0;    ///< of which via bump insertion
-  int detourIterations = 0;       ///< Alg. 2 outer rounds, summed over clusters
-  int detourRestores = 0;         ///< clusters rolled back to their snapshot
-
-  // Escape rip-up remedy decisions across all rounds (incl. retries).
-  int escapeWideTapRemedies = 0;  ///< matched trees given a wide tap
-  int escapeDemotions = 0;        ///< matched trees demoted to plain
-  int escapeSplits = 0;           ///< plain trees force-split in half
-
   /// Search-kernel effort per stage (A* invocations / settled expansions /
   /// bounded-DFS visits), measured as differences of the routing thread's
   /// workspace counters around each stage. The escape figure covers the
@@ -87,10 +73,11 @@ struct PacorResult {
   route::SearchCounters searchEscape;
   route::SearchCounters searchDetour;
 
-  /// Every counter above (plus the LM-routing and remedy breakdowns) in
-  /// one queryable, deterministically-dumpable registry. Filled by the
-  /// pipeline at harvest time; `pacor route --metrics=out.json` and
-  /// bench_routing serialize it verbatim.
+  /// Every counter above, plus the LM-routing, escape-remedy and detour
+  /// stage counters (`lm.*`, `escape.*`, `detour.*`), in one queryable,
+  /// deterministically-dumpable registry. Filled by the pipeline at
+  /// harvest time; `pacor route --metrics=out.json` and bench_routing
+  /// serialize it verbatim.
   trace::MetricsRegistry metrics;
 };
 

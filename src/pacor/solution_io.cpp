@@ -188,4 +188,9 @@ PacorResult solutionFromString(const std::string& text) {
   return readSolution(is);
 }
 
+std::string metricsFileText(const PacorResult& result) {
+  return "{\n  \"design\": \"" + result.design + "\",\n  \"metrics\": " +
+         result.metrics.toJson(/*pretty=*/true) + "\n}\n";
+}
+
 }  // namespace pacor::core

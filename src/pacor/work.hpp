@@ -52,7 +52,6 @@ struct WorkCluster {
   /// these; the fresh pipeline never sets the flag).
   bool ecoFrozen = false;
 
-  bool isSingleton() const noexcept { return spec.valves.size() == 1; }
   bool wantsMatching() const noexcept { return spec.lengthMatched && !wasDemoted; }
 };
 

@@ -206,7 +206,7 @@ void NetServer::reapClosedConnections() {
 
 void NetServer::readerLoop(Connection& conn) {
   std::string payload;
-  while (readFrame(conn.fd, payload, options_.maxFrameBytes)) {
+  while (readFrame(conn.fd, payload, kMaxFrameBytes)) {
     std::future<Response> fut;
     ParseError error;
     if (std::optional<Request> req = parseRequestLine(payload, &error)) {
@@ -372,8 +372,7 @@ bool Client::send(const std::string& requestLine) {
 }
 
 bool Client::recv(std::string& responseLine) {
-  // Responses are bounded lines; 1 MiB is far past any real one.
-  return readFrame(fd_, responseLine, 1 << 20);
+  return readFrame(fd_, responseLine, kMaxFrameBytes);
 }
 
 }  // namespace pacor::serve::net

@@ -22,11 +22,15 @@ namespace pacor::serve::net {
 bool writeFrame(int fd, const std::string& payload);
 bool readFrame(int fd, std::string& payload, std::size_t maxBytes);
 
+/// Frame size cap on both ends (1 MiB, far past any real request or
+/// response line): NetServer drops a connection that sends a larger
+/// frame, and Client::recv fails on one.
+inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 20;
+
 struct NetOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; NetServer::port() tells which
   AdmissionOptions admission;  ///< queue bound + dispatcher count
-  std::size_t maxFrameBytes = 1 << 20;  ///< oversized frames drop the conn
 };
 
 /// TCP front end over Server::submit. One accept thread; per connection a

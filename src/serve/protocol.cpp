@@ -50,6 +50,22 @@ bool keyedValue(const std::string& token, const char* key, std::string& out) {
 
 }  // namespace
 
+std::optional<Variant> parseVariant(const std::string& name) {
+  if (name == "pacor") return Variant::kPacor;
+  if (name == "wosel") return Variant::kWosel;
+  if (name == "detour-first") return Variant::kDetourFirst;
+  return std::nullopt;
+}
+
+core::PacorConfig configFor(Variant variant) {
+  switch (variant) {
+    case Variant::kPacor: return core::pacorDefaultConfig();
+    case Variant::kWosel: return core::withoutSelectionConfig();
+    case Variant::kDetourFirst: return core::detourFirstConfig();
+  }
+  return core::pacorDefaultConfig();
+}
+
 std::string ParseError::render() const {
   return reason + " (field '" + field + "')";
 }
@@ -96,10 +112,10 @@ std::optional<Request> parseRequestLine(const std::string& line,
         return failParse(error, "trace-level", "bad trace-level '" + value + "'", req.design);
       req.traceLevel = *level;
     } else if (keyedValue(token, "variant", value)) {
-      if (value == "pacor") req.variant = Variant::kPacor;
-      else if (value == "wosel") req.variant = Variant::kWosel;
-      else if (value == "detour-first") req.variant = Variant::kDetourFirst;
-      else return failParse(error, "variant", "unknown variant '" + value + "'", req.design);
+      const auto variant = parseVariant(value);
+      if (!variant)
+        return failParse(error, "variant", "unknown variant '" + value + "'", req.design);
+      req.variant = *variant;
     } else if (keyedValue(token, "deadline_ms", value)) {
       // Total validation: digits only (no sign, no suffix), in range.
       // Junk (`deadline_ms=`, negative, overflow) is a structured parse
@@ -147,20 +163,6 @@ std::string formatRequestLine(const Request& req) {
     out += std::string(" variant=") + variantName(req.variant);
   if (req.deadlineMs > 0) out += " deadline_ms=" + std::to_string(req.deadlineMs);
   return out;
-}
-
-RequestOptions optionsFor(const Request& req) {
-  RequestOptions options;
-  switch (req.variant) {
-    case Variant::kPacor: options.config = core::pacorDefaultConfig(); break;
-    case Variant::kWosel: options.config = core::withoutSelectionConfig(); break;
-    case Variant::kDetourFirst: options.config = core::detourFirstConfig(); break;
-  }
-  options.solutionPath = req.solutionPath;
-  options.metricsPath = req.metricsPath;
-  options.tracePath = req.tracePath;
-  options.traceLevel = req.traceLevel;
-  return options;
 }
 
 std::string formatResponse(const Response& resp) {

@@ -9,22 +9,6 @@
 
 namespace pacor::serve {
 
-/// Options of one routing request. The config carries the flow variant
-/// knobs.
-struct RequestOptions {
-  core::PacorConfig config;
-
-  std::string solutionPath;  ///< write the solution file here when set
-  std::string metricsPath;   ///< write the metrics JSON here when set
-
-  /// Per-request Chrome trace, recorded by the trace session of the
-  /// dispatcher thread that runs the request, so other requests keep
-  /// running and stay out of it. The session ends on every path, a
-  /// request stopped by its deadline included.
-  std::string tracePath;
-  trace::Level traceLevel = trace::Level::kCluster;
-};
-
 /// What a request asks the server to do.
 enum class Verb {
   kRoute,  ///< route the design's current state
@@ -32,8 +16,17 @@ enum class Verb {
   kGen,    ///< load/generate the design into a warm context, no routing
 };
 
-/// The three Table-2 flow variants a request line can select.
+/// The three Table-2 flow variants a request line can select. The variant
+/// is the only routing choice a request makes.
 enum class Variant { kPacor, kWosel, kDetourFirst };
+
+/// `pacor`, `wosel` or `detour-first`; nullopt for any other name. Shared
+/// by the request grammar's variant= and `pacor route --variant=`.
+std::optional<Variant> parseVariant(const std::string& name);
+
+/// The flow configuration a variant names: pacorDefaultConfig(),
+/// withoutSelectionConfig() or detourFirstConfig().
+core::PacorConfig configFor(Variant variant);
 
 /// One typed request: the single in-memory form behind every entry point
 /// (batch manifest lines, the socket front end, the fuzzer, tests). The
@@ -60,8 +53,13 @@ struct Request {
   std::string deltaPath;  ///< eco only: edit script (chip/delta.hpp format)
 
   Variant variant = Variant::kPacor;
-  std::string solutionPath;
-  std::string metricsPath;
+  std::string solutionPath;  ///< write the solution file here when set
+  std::string metricsPath;   ///< write the metrics JSON here when set
+
+  /// Per-request Chrome trace, recorded by the trace session of the
+  /// dispatcher thread that runs the request, so other requests keep
+  /// running and stay out of it. The session ends on every path, a
+  /// request stopped by its deadline included.
   std::string tracePath;
   trace::Level traceLevel = trace::Level::kCluster;
 
@@ -140,10 +138,6 @@ std::optional<Request> parseRequestLine(const std::string& line,
 /// formatRequestLine(*parseRequestLine(x)) is the canonical form of any
 /// parseable line x (idempotent under a second parse/format).
 std::string formatRequestLine(const Request& req);
-
-/// The RequestOptions a request resolves to: variant -> base config, then
-/// the side-file paths.
-RequestOptions optionsFor(const Request& req);
 
 /// One response line (no trailing newline), the single wire encoding used
 /// by batch stdout and the socket frames:

@@ -27,26 +27,6 @@ namespace pacor::serve {
 
 namespace {
 
-/// True when two configs produce byte-identical routed output, so a result
-/// cached under one can serve as the ECO base under the other. Every
-/// config knob affects the output, so every one is compared.
-bool configsEquivalent(const core::PacorConfig& a, const core::PacorConfig& b) {
-  return a.candidates.count == b.candidates.count &&
-         a.candidates.ringSearchRadius == b.candidates.ringSearchRadius &&
-         a.lambda == b.lambda && a.useSelection == b.useSelection &&
-         a.exactSelectionLimit == b.exactSelectionLimit &&
-         a.negotiation.baseHistoryCost == b.negotiation.baseHistoryCost &&
-         a.negotiation.alpha == b.negotiation.alpha &&
-         a.negotiation.maxIterations == b.negotiation.maxIterations &&
-         a.detourIterations == b.detourIterations &&
-         a.useBoundedDetour == b.useBoundedDetour &&
-         a.detourStage == b.detourStage &&
-         a.maxEscapeRounds == b.maxEscapeRounds &&
-         a.escapeMode == b.escapeMode &&
-         a.matchingRetries == b.matchingRetries &&
-         a.legalizeRadius == b.legalizeRadius;
-}
-
 /// Close-on-scope-exit for raw fds (the read paths below throw).
 struct FdGuard {
   int fd;
@@ -146,7 +126,7 @@ void addError(Response& resp, const std::string& error) {
 
 /// Response fields + side files every successful routing request shares.
 void fillRouteResponse(Response& resp, const core::PacorResult& result,
-                       const RequestOptions& options) {
+                       const Request& req) {
   resp.complete = result.complete;
   resp.solutionText = core::solutionToString(result);
   resp.solutionHash = util::sha256Hex(resp.solutionText);
@@ -155,14 +135,12 @@ void fillRouteResponse(Response& resp, const core::PacorResult& result,
   resp.coldBuilds =
       static_cast<int>(result.metrics.getInt("escape.flow.cold_builds", -1));
   resp.ok = true;
-  if (!options.solutionPath.empty() &&
-      !writeOutputFile(options.solutionPath, resp.solutionText))
-    addError(resp, "cannot write solution file " + options.solutionPath);
-  if (!options.metricsPath.empty() &&
-      !writeOutputFile(options.metricsPath,
-                       "{\n  \"design\": \"" + result.design + "\",\n  \"metrics\": " +
-                           result.metrics.toJson(/*pretty=*/true) + "\n}\n"))
-    addError(resp, "cannot write metrics file " + options.metricsPath);
+  if (!req.solutionPath.empty() &&
+      !writeOutputFile(req.solutionPath, resp.solutionText))
+    addError(resp, "cannot write solution file " + req.solutionPath);
+  if (!req.metricsPath.empty() &&
+      !writeOutputFile(req.metricsPath, core::metricsFileText(result)))
+    addError(resp, "cannot write metrics file " + req.metricsPath);
 }
 
 }  // namespace
@@ -316,13 +294,13 @@ Response Server::execute(const Pending& pending) {
       resp.genObstacles = static_cast<int>(ctx.chip().obstacles.size());
       return resp;
     }
-    const RequestOptions options = optionsFor(req);
+    const core::PacorConfig config = configFor(req.variant);
     // Every client-named file is checked before the request has an
     // effect: side files must be regular or absent, and the delta is read
     // like a design file, so no path can park this dispatcher in an open.
-    requireRegularOrAbsent("sol", options.solutionPath);
-    requireRegularOrAbsent("metrics", options.metricsPath);
-    requireRegularOrAbsent("trace", options.tracePath);
+    requireRegularOrAbsent("sol", req.solutionPath);
+    requireRegularOrAbsent("metrics", req.metricsPath);
+    requireRegularOrAbsent("trace", req.tracePath);
     std::optional<chip::ChipDelta> delta;
     if (req.verb == Verb::kEco) {
       std::istringstream is(readInputFile(req.deltaPath, "delta", false));
@@ -332,31 +310,31 @@ Response Server::execute(const Pending& pending) {
     // The trace session is this dispatcher thread's, and the request runs
     // on this thread alone, so the trace holds exactly this request's spans
     // while other requests run (traced or not) on other dispatchers.
-    const bool traced = !options.tracePath.empty();
-    if (traced) trace::beginSession(options.traceLevel);
+    const bool traced = !req.tracePath.empty();
+    if (traced) trace::beginSession(req.traceLevel);
     resources.escapeSession = &ctx.escapeSession_;
     try {
       if (delta) {
         // An eco edit replaces the chip and the obstacle template, so no
         // request may read the design concurrently.
         std::unique_lock<std::shared_mutex> state(ctx.stateMutex_);
-        // The ECO base: the cached previous result when its config routes
-        // byte-identically under this request's config, else a fresh route
-        // of the pre-edit chip (paid once; subsequent eco requests chain).
+        // The ECO base: the cached previous result when the same variant
+        // produced it, else a fresh route of the pre-edit chip (paid once;
+        // subsequent eco requests of the variant chain). No two variants
+        // route alike, so another variant's result is never the base.
         std::optional<core::PacorResult> prev;
         {
           std::lock_guard<std::mutex> cache(ctx.cacheMutex_);
-          if (ctx.hasLast_ && configsEquivalent(ctx.lastConfig_, options.config))
-            prev = ctx.lastResult_;
+          if (ctx.hasLast_ && ctx.lastVariant_ == req.variant) prev = ctx.lastResult_;
         }
         if (!prev) {
           core::RouteResources baseResources = resources;
           baseResources.obstacleTemplate = &ctx.obstacleTemplate_;
-          prev = core::routeChip(ctx.chip_, options.config, baseResources);
+          prev = core::routeChip(ctx.chip_, config, baseResources);
         }
         core::EcoInfo info;
-        const core::PacorResult result = core::rerouteChip(
-            ctx.chip_, *prev, *delta, options.config, resources, &info);
+        const core::PacorResult result =
+            core::rerouteChip(ctx.chip_, *prev, *delta, config, resources, &info);
         // Routing is done, so the deadline no longer applies: from here on
         // the edit commits and the request is answered `ok`.
         ctx.chip_ = chip::apply(ctx.chip_, *delta);
@@ -364,10 +342,10 @@ Response Server::execute(const Pending& pending) {
         {
           std::lock_guard<std::mutex> cache(ctx.cacheMutex_);
           ctx.lastResult_ = result;
-          ctx.lastConfig_ = options.config;
+          ctx.lastVariant_ = req.variant;
           ctx.hasLast_ = true;
         }
-        fillRouteResponse(resp, result, options);
+        fillRouteResponse(resp, result, req);
         resp.ecoMode = info.mode == core::EcoInfo::Mode::kIdentity ? "identity"
                        : info.mode == core::EcoInfo::Mode::kIncremental
                            ? "incremental"
@@ -378,12 +356,11 @@ Response Server::execute(const Pending& pending) {
         // The chip and template must stay put while this request routes.
         std::shared_lock<std::shared_mutex> state(ctx.stateMutex_);
         resources.obstacleTemplate = &ctx.obstacleTemplate_;
-        const core::PacorResult result =
-            core::routeChip(ctx.chip_, options.config, resources);
-        fillRouteResponse(resp, result, options);
+        const core::PacorResult result = core::routeChip(ctx.chip_, config, resources);
+        fillRouteResponse(resp, result, req);
         std::lock_guard<std::mutex> cache(ctx.cacheMutex_);
         ctx.lastResult_ = result;
-        ctx.lastConfig_ = options.config;
+        ctx.lastVariant_ = req.variant;
         ctx.hasLast_ = true;
       }
     } catch (const util::DeadlineExceeded&) {
@@ -399,8 +376,8 @@ Response Server::execute(const Pending& pending) {
     if (traced) {
       const std::vector<trace::Event> events = trace::endSession();
       resp.traceSpans = static_cast<int>(events.size());
-      if (!writeOutputFile(options.tracePath, trace::toChromeJson(events)))
-        addError(resp, "cannot write trace file " + options.tracePath);
+      if (!writeOutputFile(req.tracePath, trace::toChromeJson(events)))
+        addError(resp, "cannot write trace file " + req.tracePath);
     }
   } catch (const util::DeadlineExceeded&) {
     // The load or the route stopped at its deadline before any effect.
@@ -621,7 +598,7 @@ bool Server::draining() const {
 
 // --- batch adapter -------------------------------------------------------
 
-int runBatch(std::istream& manifest, std::ostream& out, const BatchOptions& options) {
+int runBatch(std::istream& manifest, std::ostream& out, AdmissionOptions admission) {
   // One slot per manifest request, in manifest order: either an already
   // rendered parse-error response or the future of a submitted request.
   struct Slot {
@@ -630,12 +607,8 @@ int runBatch(std::istream& manifest, std::ostream& out, const BatchOptions& opti
   };
 
   Server server;
-  AdmissionOptions admission;
-  admission.maxInflight = std::max(1, options.concurrency);
-  admission.maxQueue = 0;
-  admission.defaultDeadlineMs = options.defaultDeadlineMs;
-  admission.maxDesigns = options.maxDesigns;
-  admission.allowFifoDesigns = options.allowFifoDesigns;
+  admission.maxInflight = std::max(1, admission.maxInflight);
+  admission.maxQueue = 0;  // batch mode never sheds load
   server.startDispatch(admission);
 
   std::vector<Slot> slots;
@@ -677,8 +650,8 @@ int runBatch(std::istream& manifest, std::ostream& out, const BatchOptions& opti
   std::fprintf(stderr,
                "pacor serve: %zu request(s), %zu design context(s), "
                "concurrency=%d, %d failure(s), %.2fs\n",
-               slots.size(), server.designCount(),
-               std::max(1, options.concurrency), failed, seconds);
+               slots.size(), server.designCount(), admission.maxInflight, failed,
+               seconds);
   return failed;
 }
 

@@ -20,7 +20,6 @@
 
 #include "chip/chip.hpp"
 #include "grid/obstacle_map.hpp"
-#include "pacor/config.hpp"
 #include "pacor/pipeline.hpp"
 #include "pacor/result.hpp"
 #include "serve/protocol.hpp"
@@ -112,13 +111,13 @@ class DesignContext {
   /// past its deadline stops routing instead of being abandoned.
   std::unique_ptr<core::EscapeFlowSession> escapeSession_;
 
-  /// Most recent routed result + the config that produced it: the `prev`
-  /// an ECO request chains from when the configs are output-equivalent
-  /// (otherwise an eco request re-routes the base once before applying
-  /// the edit). Like stateMutex_, every use is inside Server::execute.
+  /// Most recent routed result + the variant that produced it: the `prev`
+  /// an ECO request of the same variant chains from (an eco request of
+  /// another variant re-routes the base once before applying the edit).
+  /// Like stateMutex_, every use is inside Server::execute.
   std::mutex cacheMutex_;
   bool hasLast_ = false;
-  core::PacorConfig lastConfig_;
+  Variant lastVariant_ = Variant::kPacor;
   core::PacorResult lastResult_;
 };
 
@@ -222,10 +221,10 @@ class Server {
   /// A route re-routes the design's current state. An eco applies its
   /// edit script and re-routes incrementally (core::rerouteChip) against
   /// the design's cached previous result -- routing the pre-edit chip
-  /// first when no previous result exists or it came from an
-  /// output-inequivalent config -- then advances the design's chip,
-  /// obstacle template and result cache, so eco requests chain. A gen
-  /// only loads the design into its context.
+  /// first when no previous result exists or another variant produced
+  /// it -- then advances the design's chip, obstacle template and result
+  /// cache, so eco requests chain. A gen only loads the design into its
+  /// context.
   std::future<Response> submit(Request req);
 
   /// Stops admitting: every later submit() resolves to `busy draining`.
@@ -315,23 +314,14 @@ class Server {
 /// Batch/stdin line protocol: one request per non-blank, non-'#' manifest
 /// line, in the shared grammar of serve::parseRequestLine (see
 /// protocol.hpp). A thin adapter over Server::submit: lines are parsed,
-/// queued with per-design FIFO affinity and `concurrency` dispatcher
-/// threads (the waiting queue is unbounded -- batch mode never sheds
-/// load), and the responses printed to `out` in request order, one
-/// serve::formatResponse line each. Malformed lines report
+/// queued with per-design FIFO affinity on a server started with
+/// `admission` (its maxQueue is ignored: the waiting queue is unbounded,
+/// batch mode never sheds load), and the responses printed to `out` in
+/// request order, one serve::formatResponse line each. Malformed lines report
 /// `line N: <reason> (field '<field>')` without aborting the batch.
 /// Timing and throughput go to stderr so stdout stays byte-stable for a
 /// given manifest. Returns the number of failed requests (error responses
 /// plus incomplete routings).
-struct BatchOptions {
-  int concurrency = 1;  ///< requests in flight at once
-
-  /// Forwarded into the server's AdmissionOptions (the waiting queue
-  /// itself stays unbounded in batch mode).
-  std::int64_t defaultDeadlineMs = 0;
-  std::size_t maxDesigns = AdmissionOptions{}.maxDesigns;
-  bool allowFifoDesigns = false;  ///< test-only, see LoadOptions
-};
-int runBatch(std::istream& manifest, std::ostream& out, const BatchOptions& options);
+int runBatch(std::istream& manifest, std::ostream& out, AdmissionOptions admission);
 
 }  // namespace pacor::serve

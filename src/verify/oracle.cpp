@@ -14,7 +14,12 @@ namespace {
 using geom::Point;
 
 std::string cellStr(Point p) {
-  return "(" + std::to_string(p.x) + ", " + std::to_string(p.y) + ")";
+  std::string s = "(";
+  s += std::to_string(p.x);
+  s += ", ";
+  s += std::to_string(p.y);
+  s += ')';
+  return s;
 }
 
 /// One maximal straight run of channel cells. Normalized so a <= b on the

@@ -67,9 +67,12 @@ TEST(DiffApply, ValveMapTracksRemovalRenumbering) {
   for (std::size_t v = 2; v < a.valves.size(); ++v)
     EXPECT_EQ(applied.valveMap[v], static_cast<chip::ValveId>(v) - 1);
   // Surviving valves keep their geometry under the new ids.
-  for (std::size_t v = 0; v < a.valves.size(); ++v)
-    if (applied.valveMap[v] >= 0)
-      EXPECT_EQ(applied.chip.valve(applied.valveMap[v]).pos, a.valve(static_cast<chip::ValveId>(v)).pos);
+  for (std::size_t v = 0; v < a.valves.size(); ++v) {
+    if (applied.valveMap[v] >= 0) {
+      EXPECT_EQ(applied.chip.valve(applied.valveMap[v]).pos,
+                a.valve(static_cast<chip::ValveId>(v)).pos);
+    }
+  }
 }
 
 TEST(DeltaIo, MalformedInputThrows) {

@@ -4,7 +4,9 @@
 // which is what lets the pipeline serve every rip-up round (and serve
 // requests) from one persistent session without moving the golden
 // solution hashes. A route stopped by its deadline must leave that
-// session reusable.
+// session reusable. On the same replayed stages it also checks the
+// paper's Sec. 5 claim: the flow escapes at least as many clusters as
+// greedy sequential escape.
 
 #include <gtest/gtest.h>
 
@@ -180,6 +182,28 @@ TEST(IncrementalEscape, StagedReplayMatchesEscapeRoute) {
     }
     EXPECT_EQ(session.stats().warmRounds, 2);
     EXPECT_GT(session.stats().warmDeltaCells, 0);
+  }
+}
+
+// The Sec. 5 claim on clusters the pipeline produced (stress seeds 2 and
+// 5): from one post-routing state, the simultaneous min-cost flow escapes
+// at least as many clusters as the greedy sequential baseline it replaces.
+TEST(EscapeStage, FlowNeverRoutesFewerThanSequential) {
+  for (const std::uint32_t seed : {2u, 5u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const chip::Chip chip = chip::generateChip(chip::stressParams(seed));
+    grid::ObstacleMap flowMap = core::makeRoutingObstacleTemplate(chip);
+    std::vector<core::WorkCluster> flowClusters = routeToEscape(chip, flowMap);
+    grid::ObstacleMap seqMap = flowMap;
+    std::vector<core::WorkCluster> seqClusters = flowClusters;
+
+    std::vector<core::WorkCluster*> flowPtrs = pointersTo(flowClusters);
+    std::vector<core::WorkCluster*> seqPtrs = pointersTo(seqClusters);
+    const core::EscapeOutcome flow = core::escapeRoute(chip, flowMap, flowPtrs);
+    const core::EscapeOutcome seq = core::escapeRouteSequential(chip, seqMap, seqPtrs);
+    EXPECT_GT(seq.requested, 0);
+    EXPECT_EQ(flow.requested, seq.requested);
+    EXPECT_GE(flow.routedCount, seq.routedCount);
   }
 }
 

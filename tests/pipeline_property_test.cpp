@@ -125,28 +125,5 @@ TEST(PipelineDelta, LargerDeltaNeverMatchesFewer) {
   EXPECT_GE(loose, tight);
 }
 
-
-TEST(PipelineEscapeMode, SequentialBaselineWorksOnEasyDesigns) {
-  const chip::Chip chip = chip::generateChip(chip::s3Params());
-  PacorConfig cfg;
-  cfg.escapeMode = EscapeMode::kSequential;
-  const PacorResult result = routeChip(chip, cfg);
-  EXPECT_TRUE(result.complete);
-  EXPECT_TRUE(checkSolution(chip, result).clean());
-}
-
-TEST(PipelineEscapeMode, FlowNeverRoutesFewerThanSequential) {
-  for (const std::uint32_t seed : {2u, 5u}) {
-    const chip::Chip chip = chip::generateChip(chip::stressParams(seed));
-    PacorConfig seq;
-    seq.escapeMode = EscapeMode::kSequential;
-    const int seqMatched = routeChip(chip, seq).matchedClusterCount;
-    const int flowMatched = routeChip(chip).matchedClusterCount;
-    // The flow solver dominates routability; allow 1 cluster of noise in
-    // matching since the downstream detour interacts with geometry.
-    EXPECT_GE(flowMatched + 1, seqMatched) << "seed " << seed;
-  }
-}
-
 }  // namespace
 }  // namespace pacor::core

@@ -150,8 +150,7 @@ TEST(ServeProtocol, BatchModeReportsLineNumbers) {
       "eco S1\n"
       "S1 frobnicate\n");
   std::ostringstream out;
-  serve::BatchOptions options;
-  EXPECT_EQ(serve::runBatch(manifest, out, options), 2);
+  EXPECT_EQ(serve::runBatch(manifest, out, serve::AdmissionOptions{.maxInflight = 1}), 2);
   std::istringstream lines(out.str());
   std::string first, second;
   ASSERT_TRUE(std::getline(lines, first));

@@ -415,6 +415,40 @@ clusters 0
   EXPECT_EQ(eco.solutionText, oneShot);
 }
 
+// The cached result is an ECO base only for an eco of the variant that
+// produced it. S2 routes differently under wosel and pacor, so a default
+// (pacor) eco after a wosel route must route its base under pacor and
+// answer the one-shot pacor ECO, not an ECO chained from the wosel result.
+TEST(ServeEco, EcoBaseIsReusedOnlyForTheSameVariant) {
+  const chip::Chip base = chip::generateChip(chip::s2Params());
+  const core::PacorResult pacor = core::routeChip(base, core::pacorDefaultConfig());
+  const core::PacorResult wosel = core::routeChip(base, core::withoutSelectionConfig());
+  ASSERT_NE(core::solutionToString(pacor), core::solutionToString(wosel));
+
+  ASSERT_EQ(base.valve(7).pos, (geom::Point{19, 13}));
+  chip::ChipDelta d;
+  d.moveValve(7, {19, 12});
+  const std::string deltaPath = testing::TempDir() + "serve_eco_variant.delta";
+  chip::writeDeltaFile(deltaPath, d);
+  const std::string oneShot = core::solutionToString(
+      core::rerouteChip(base, pacor, d, core::pacorDefaultConfig()));
+  ASSERT_NE(core::solutionToString(
+                core::rerouteChip(base, wosel, d, core::pacorDefaultConfig())),
+            oneShot)
+      << "the delta must tell the two ECO bases apart";
+
+  serve::Server server;
+  server.context("V", [&] { return base; });
+  serve::Request route = requestFor("V");
+  route.variant = serve::Variant::kWosel;
+  const serve::Response before = call(server, route);
+  ASSERT_TRUE(before.ok) << before.error;
+  EXPECT_EQ(before.solutionText, core::solutionToString(wosel));
+  const serve::Response eco = call(server, requestFor("V", deltaPath));
+  ASSERT_TRUE(eco.ok) << eco.error;
+  EXPECT_EQ(eco.solutionText, oneShot);
+}
+
 TEST(ServeEco, ConcurrentRouteAndEcoStayConsistent) {
   const chip::Chip base = chip::generateChip(chip::s2Params());
   const core::PacorResult oneShot = core::routeChip(base, core::pacorDefaultConfig());
@@ -582,7 +616,8 @@ TEST(ServeBatch, EcoVerbRoutesAndReportsMode) {
   std::istringstream manifest("S1\neco S1 delta=" + deltaPath +
                               "\neco S1\n");
   std::ostringstream out;
-  const int failed = serve::runBatch(manifest, out, serve::BatchOptions{});
+  const int failed =
+      serve::runBatch(manifest, out, serve::AdmissionOptions{.maxInflight = 1});
   EXPECT_EQ(failed, 1);  // only the delta-less eco line
 
   std::istringstream lines(out.str());
@@ -609,9 +644,8 @@ TEST(ServeBatch, ManifestRoutesInOrderAndReportsHashes) {
       "S1\n"
       "no-such-design\n");
   std::ostringstream out;
-  serve::BatchOptions options;
-  options.concurrency = 2;
-  const int failed = serve::runBatch(manifest, out, options);
+  const int failed =
+      serve::runBatch(manifest, out, serve::AdmissionOptions{.maxInflight = 2});
   EXPECT_EQ(failed, 1);  // the unknown design, and nothing else
 
   std::istringstream lines(out.str());

@@ -155,11 +155,10 @@ int cmdRoute(int argc, char** argv) {
   trace::Level traceLevel = trace::Level::kCluster;
   for (int i = 2; i < argc; ++i) {
     const std::string v = argv[i];
-    if (v == "--variant=pacor") {
-    } else if (v == "--variant=wosel") {
-      cfg = core::withoutSelectionConfig();
-    } else if (v == "--variant=detour-first") {
-      cfg = core::detourFirstConfig();
+    if (v.rfind("--variant=", 0) == 0) {
+      const auto variant = serve::parseVariant(v.substr(10));
+      if (!variant) return usage();
+      cfg = serve::configFor(*variant);
     } else if (v.rfind("--trace=", 0) == 0) {
       tracePath = v.substr(8);
       if (tracePath.empty()) return usage();
@@ -213,8 +212,7 @@ int cmdRoute(int argc, char** argv) {
   }
   if (!metricsPath.empty()) {
     std::ofstream out(metricsPath);
-    out << "{\n  \"design\": \"" << result.design << "\",\n  \"metrics\": "
-        << result.metrics.toJson(/*pretty=*/true) << "\n}\n";
+    out << core::metricsFileText(result);
     if (!out) {
       std::cerr << "error: cannot write metrics file " << metricsPath << '\n';
       return 1;
@@ -242,8 +240,10 @@ int cmdDiff(int argc, char** argv) {
 }
 
 int cmdServe(int argc, char** argv) {
-  serve::BatchOptions opt;
+  // One set of admission settings for both front ends; --concurrency is
+  // batch mode's maxInflight, --max-inflight and --max-queue the socket's.
   serve::net::NetOptions netOpt;
+  int concurrency = 1;
   std::string batchPath = "-";
   std::string listen;
   for (int i = 0; i < argc; ++i) {
@@ -256,8 +256,8 @@ int cmdServe(int argc, char** argv) {
         listen = v.substr(9);
         if (listen.empty()) return usage();
       } else if (v.rfind("--concurrency=", 0) == 0) {
-        opt.concurrency = std::stoi(v.substr(14));
-        if (opt.concurrency < 1) return usage();
+        concurrency = std::stoi(v.substr(14));
+        if (concurrency < 1) return usage();
       } else if (v.rfind("--max-inflight=", 0) == 0) {
         netOpt.admission.maxInflight = std::stoi(v.substr(15));
         if (netOpt.admission.maxInflight < 1) return usage();
@@ -268,17 +268,14 @@ int cmdServe(int argc, char** argv) {
       } else if (v.rfind("--deadline-ms=", 0) == 0) {
         const long long ms = std::stoll(v.substr(14));
         if (ms < 0 || ms > serve::kMaxDeadlineMs) return usage();
-        opt.defaultDeadlineMs = ms;
         netOpt.admission.defaultDeadlineMs = ms;
       } else if (v.rfind("--max-designs=", 0) == 0) {
         const long long cap = std::stoll(v.substr(14));
         if (cap < 0) return usage();
-        opt.maxDesigns = static_cast<std::size_t>(cap);
         netOpt.admission.maxDesigns = static_cast<std::size_t>(cap);
       } else if (v == "--allow-fifo-designs") {
         // TEST-ONLY: lets liveness smoke tests park a request on a named
         // pipe; production loads reject non-regular files.
-        opt.allowFifoDesigns = true;
         netOpt.admission.allowFifoDesigns = true;
       } else {
         return usage();
@@ -296,13 +293,15 @@ int cmdServe(int argc, char** argv) {
     netOpt.port = static_cast<std::uint16_t>(port);
     return serve::net::serveForever(netOpt);
   }
-  if (batchPath == "-") return serve::runBatch(std::cin, std::cout, opt) == 0 ? 0 : 1;
+  serve::AdmissionOptions batch = netOpt.admission;
+  batch.maxInflight = concurrency;
+  if (batchPath == "-") return serve::runBatch(std::cin, std::cout, batch) == 0 ? 0 : 1;
   std::ifstream manifest(batchPath);
   if (!manifest) {
     std::cerr << "error: cannot read manifest " << batchPath << '\n';
     return 2;
   }
-  return serve::runBatch(manifest, std::cout, opt) == 0 ? 0 : 1;
+  return serve::runBatch(manifest, std::cout, batch) == 0 ? 0 : 1;
 }
 
 int cmdCheck(int argc, char** argv) {

@@ -194,8 +194,8 @@ core::PacorConfig configForSeed(std::uint32_t seed) {
 }
 
 /// The serve variant= naming configForSeed(seed). Property (e) submits it,
-/// so a wrong variant mapping in the serve layer shows up as a mismatch
-/// against the independently configured one-shot run.
+/// so a wrong mapping in serve::configFor shows up as a mismatch against
+/// the independently configured one-shot run.
 serve::Variant variantForSeed(std::uint32_t seed) {
   switch (seed % 3) {
     case 1: return serve::Variant::kWosel;
