@@ -5,6 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/text_records.hpp"
+
 namespace pacor::chip {
 namespace {
 
@@ -14,22 +16,6 @@ namespace {
 
 [[noreturn]] void badOp(const std::string& what) {
   throw std::invalid_argument("chip::apply: " + what);
-}
-
-/// Next non-comment, non-blank line; false on EOF.
-bool nextLine(std::istream& is, std::string& line) {
-  while (std::getline(is, line)) {
-    const auto pos = line.find_first_not_of(" \t\r");
-    if (pos == std::string::npos || line[pos] == '#') continue;
-    return true;
-  }
-  return false;
-}
-
-std::size_t checkedCount(std::size_t n, const char* what) {
-  constexpr std::size_t kMaxRecords = 16'777'216;
-  if (n > kMaxRecords) fail(std::string("implausible count for ") + what);
-  return n;
 }
 
 void checkIndex(std::int32_t id, std::size_t size, const char* what) {
@@ -400,30 +386,18 @@ void writeDelta(std::ostream& os, const ChipDelta& delta) {
 }
 
 ChipDelta readDelta(std::istream& is) {
-  std::string line;
-  if (!nextLine(is, line)) fail("unexpected end of file while reading header");
+  util::RecordReader r(is, "chip delta io");
   {
-    std::istringstream ls(line);
+    auto ls = r.line("header");
     std::string magic;
     int version = 0;
     ls >> magic >> version;
     if (magic != "pacor-delta" || version != 1)
       fail("bad header (want 'pacor-delta 1')");
   }
-  if (!nextLine(is, line)) fail("unexpected end of file while reading op count");
-  std::size_t count = 0;
-  {
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key >> count;
-    if (key != "ops" || ls.fail()) fail("expected 'ops <n>'");
-    checkedCount(count, "ops");
-  }
   ChipDelta delta;
-  delta.ops.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!nextLine(is, line)) fail("unexpected end of file while reading op");
-    std::istringstream ls(line);
+  for (std::size_t i = 0, count = r.count("ops"); i < count; ++i) {
+    auto ls = r.line("op");
     std::string name;
     ls >> name;
     DeltaOp op;
@@ -436,12 +410,10 @@ ChipDelta readDelta(std::istream& is) {
     };
     const auto readCluster = [&] {
       int lm = 0;
-      std::size_t k = 0;
-      if (!(ls >> lm >> k)) fail("malformed cluster payload in " + name);
+      if (!(ls >> lm)) fail("malformed cluster payload in " + name);
       op.cluster.lengthMatched = lm != 0;
-      op.cluster.valves.resize(checkedCount(k, "cluster members"));
-      for (std::size_t j = 0; j < k; ++j)
-        if (!(ls >> op.cluster.valves[j])) fail("malformed cluster members in " + name);
+      r.values(ls, r.count(ls, "cluster members"), op.cluster.valves,
+               "cluster members in " + name);
     };
     if (name == "set-name") { op.kind = DeltaOp::Kind::kSetName; readText(); }
     else if (name == "set-grid") { op.kind = DeltaOp::Kind::kSetGrid; readPos(); }

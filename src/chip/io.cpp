@@ -4,43 +4,13 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/text_records.hpp"
+
 namespace pacor::chip {
 namespace {
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("chip io: " + what);
-}
-
-/// Next non-comment, non-blank line; false on EOF.
-bool nextLine(std::istream& is, std::string& line) {
-  while (std::getline(is, line)) {
-    const auto pos = line.find_first_not_of(" \t\r");
-    if (pos == std::string::npos || line[pos] == '#') continue;
-    return true;
-  }
-  return false;
-}
-
-std::istringstream expectLine(std::istream& is, const std::string& context) {
-  std::string line;
-  if (!nextLine(is, line)) fail("unexpected end of file while reading " + context);
-  return std::istringstream(line);
-}
-
-
-/// Rejects absurd record counts before any allocation (a corrupted count
-/// must fail cleanly, not throw std::length_error out of vector).
-std::size_t checkedCount(std::size_t n, const char* what) {
-  constexpr std::size_t kMaxRecords = 16'777'216;
-  if (n > kMaxRecords) fail(std::string("implausible count for ") + what);
-  return n;
-}
-
-template <typename T>
-T parseField(std::istringstream& ls, const std::string& context) {
-  T value{};
-  if (!(ls >> value)) fail("malformed " + context);
-  return value;
 }
 
 }  // namespace
@@ -69,26 +39,21 @@ void writeChip(std::ostream& os, const Chip& chip) {
 }
 
 Chip readChip(std::istream& is) {
+  util::RecordReader r(is, "chip io");
   Chip chip;
   {
-    auto ls = expectLine(is, "header");
+    auto ls = r.line("header");
     std::string magic;
     int version = 0;
     ls >> magic >> version;
     if (magic != "pacor-chip" || version != 1) fail("bad header (want 'pacor-chip 1')");
   }
+  r.keyed("name") >> chip.name;
   {
-    auto ls = expectLine(is, "name");
-    std::string key;
-    ls >> key >> chip.name;
-    if (key != "name") fail("expected 'name'");
-  }
-  {
-    auto ls = expectLine(is, "grid");
-    std::string key;
+    auto ls = r.keyed("grid");
     std::int32_t w = 0, h = 0;
-    ls >> key >> w >> h;
-    if (key != "grid" || w <= 0 || h <= 0) fail("bad grid line");
+    ls >> w >> h;
+    if (w <= 0 || h <= 0) fail("bad grid line");
     // Checked product before constructing: an oversized grid must fail
     // with a parse error, not corrupt int32 cell indices downstream.
     if (static_cast<std::int64_t>(w) * h > grid::Grid::kMaxCells)
@@ -96,85 +61,40 @@ Chip readChip(std::istream& is) {
            " exceeds the int32 cell-index range");
     chip.routingGrid = grid::Grid(w, h);
   }
-  {
-    auto ls = expectLine(is, "rules");
-    std::string key;
-    ls >> key >> chip.rules.minChannelWidthUm >> chip.rules.minChannelSpacingUm;
-    if (key != "rules" || !chip.rules.valid()) fail("bad rules line");
+  r.keyed("rules") >> chip.rules.minChannelWidthUm >> chip.rules.minChannelSpacingUm;
+  if (!chip.rules.valid()) fail("bad rules line");
+  r.keyed("delta") >> chip.delta;
+  if (chip.delta < 0) fail("bad delta line");
+  for (std::size_t i = 0, n = r.count("valves"); i < n; ++i) {
+    auto vl = r.line("valve");
+    Valve v;
+    std::string seq;
+    vl >> v.id >> v.pos.x >> v.pos.y >> seq;
+    if (vl.fail()) fail("malformed valve line");
+    v.sequence = ActivationSequence(seq);
+    chip.valves.push_back(std::move(v));
   }
-  {
-    auto ls = expectLine(is, "delta");
-    std::string key;
-    ls >> key >> chip.delta;
-    if (key != "delta" || chip.delta < 0) fail("bad delta line");
+  for (std::size_t i = 0, n = r.count("pins"); i < n; ++i) {
+    auto pl = r.line("pin");
+    ControlPin p;
+    pl >> p.id >> p.pos.x >> p.pos.y;
+    if (pl.fail()) fail("malformed pin line");
+    chip.pins.push_back(p);
   }
-  {
-    auto ls = expectLine(is, "valves count");
-    std::string key;
-    std::size_t n = 0;
-    ls >> key >> n;
-    if (key != "valves") fail("expected 'valves'");
-    chip.valves.reserve(checkedCount(n, "valves"));
-    for (std::size_t i = 0; i < n; ++i) {
-      auto vl = expectLine(is, "valve");
-      Valve v;
-      std::string seq;
-      vl >> v.id >> v.pos.x >> v.pos.y >> seq;
-      if (vl.fail()) fail("malformed valve line");
-      v.sequence = ActivationSequence(seq);
-      chip.valves.push_back(std::move(v));
-    }
+  for (std::size_t i = 0, n = r.count("obstacles"); i < n; ++i) {
+    auto ol = r.line("obstacle");
+    Point o;
+    ol >> o.x >> o.y;
+    if (ol.fail()) fail("malformed obstacle line");
+    chip.obstacles.push_back(o);
   }
-  {
-    auto ls = expectLine(is, "pins count");
-    std::string key;
-    std::size_t n = 0;
-    ls >> key >> n;
-    if (key != "pins") fail("expected 'pins'");
-    chip.pins.reserve(checkedCount(n, "pins"));
-    for (std::size_t i = 0; i < n; ++i) {
-      auto pl = expectLine(is, "pin");
-      ControlPin p;
-      pl >> p.id >> p.pos.x >> p.pos.y;
-      if (pl.fail()) fail("malformed pin line");
-      chip.pins.push_back(p);
-    }
-  }
-  {
-    auto ls = expectLine(is, "obstacles count");
-    std::string key;
-    std::size_t n = 0;
-    ls >> key >> n;
-    if (key != "obstacles") fail("expected 'obstacles'");
-    chip.obstacles.reserve(checkedCount(n, "obstacles"));
-    for (std::size_t i = 0; i < n; ++i) {
-      auto ol = expectLine(is, "obstacle");
-      Point o;
-      ol >> o.x >> o.y;
-      if (ol.fail()) fail("malformed obstacle line");
-      chip.obstacles.push_back(o);
-    }
-  }
-  {
-    auto ls = expectLine(is, "clusters count");
-    std::string key;
-    std::size_t n = 0;
-    ls >> key >> n;
-    if (key != "clusters") fail("expected 'clusters'");
-    chip.givenClusters.reserve(checkedCount(n, "clusters"));
-    for (std::size_t i = 0; i < n; ++i) {
-      auto cl = expectLine(is, "cluster");
-      int lm = 0;
-      std::size_t k = 0;
-      cl >> lm >> k;
-      if (cl.fail()) fail("malformed cluster line");
-      ValveCluster c;
-      c.lengthMatched = lm != 0;
-      c.valves.resize(checkedCount(k, "cluster members"));
-      for (std::size_t j = 0; j < k; ++j) cl >> c.valves[j];
-      if (cl.fail()) fail("malformed cluster members");
-      chip.givenClusters.push_back(std::move(c));
-    }
+  for (std::size_t i = 0, n = r.count("clusters"); i < n; ++i) {
+    auto cl = r.line("cluster");
+    int lm = 0;
+    if (!(cl >> lm)) fail("malformed cluster line");
+    ValveCluster& c = chip.givenClusters.emplace_back();
+    c.lengthMatched = lm != 0;
+    r.values(cl, r.count(cl, "cluster members"), c.valves, "cluster members");
   }
   if (const auto err = chip.validate()) fail("invalid chip: " + *err);
   return chip;

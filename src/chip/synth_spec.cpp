@@ -4,45 +4,13 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/text_records.hpp"
+
 namespace pacor::chip {
 namespace {
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("synth spec: " + what);
-}
-
-std::istringstream lineFor(std::istream& is, const char* key) {
-  std::string line;
-  while (std::getline(is, line)) {
-    const auto pos = line.find_first_not_of(" \t\r");
-    if (pos == std::string::npos || line[pos] == '#') continue;
-    std::istringstream ls(line);
-    std::string k;
-    ls >> k;
-    if (k != key) fail(std::string("expected '") + key + "', got '" + k + "'");
-    return ls;
-  }
-  fail(std::string("unexpected EOF, wanted '") + key + "'");
-}
-
-std::size_t countFor(std::istream& is, const char* key) {
-  auto ls = lineFor(is, key);
-  std::size_t n = 0;
-  if (!(ls >> n)) fail(std::string("malformed count for '") + key + "'");
-  constexpr std::size_t kMaxRecords = 16'777'216;
-  if (n > kMaxRecords) fail(std::string("implausible count for '") + key + "'");
-  return n;
-}
-
-/// Next non-comment record line (no leading keyword).
-std::istringstream recordLine(std::istream& is, const char* context) {
-  std::string line;
-  while (std::getline(is, line)) {
-    const auto pos = line.find_first_not_of(" \t\r");
-    if (pos == std::string::npos || line[pos] == '#') continue;
-    return std::istringstream(line);
-  }
-  fail(std::string("unexpected EOF while reading ") + context);
 }
 
 }  // namespace
@@ -129,91 +97,71 @@ void writeSynthSpec(std::ostream& os, const SynthSpec& spec) {
 }
 
 SynthSpec readSynthSpec(std::istream& is) {
+  util::RecordReader r(is, "synth spec");
   SynthSpec spec;
   {
-    auto ls = lineFor(is, "pacor-synth");
     int version = 0;
-    ls >> version;
+    r.keyed("pacor-synth") >> version;
     if (version != 1) fail("unsupported version");
   }
+  r.keyed("name") >> spec.name;
   {
-    auto ls = lineFor(is, "name");
-    ls >> spec.name;
-  }
-  {
-    auto ls = lineFor(is, "grid");
+    auto ls = r.keyed("grid");
     std::int32_t w = 0, h = 0;
     if (!(ls >> w >> h) || w <= 0 || h <= 0) fail("bad grid");
     spec.die = grid::Grid(w, h);
   }
-  {
-    auto ls = lineFor(is, "delta");
-    if (!(ls >> spec.delta)) fail("bad delta");
+  if (!(r.keyed("delta") >> spec.delta)) fail("bad delta");
+  for (std::size_t i = 0, n = r.count("valves"); i < n; ++i) {
+    geom::Point v;
+    if (!(r.line("valve site") >> v.x >> v.y)) fail("malformed valve site");
+    spec.valveSites.push_back(v);
   }
-  spec.valveSites.resize(countFor(is, "valves"));
-  for (auto& v : spec.valveSites) {
-    auto ls = recordLine(is, "valve site");
-    if (!(ls >> v.x >> v.y)) fail("malformed valve site");
-  }
-  spec.flow.channels.resize(countFor(is, "channels"));
-  for (auto& c : spec.flow.channels) {
-    auto ls = recordLine(is, "channel");
+  for (std::size_t i = 0, n = r.count("channels"); i < n; ++i) {
+    auto ls = r.line("channel");
     std::size_t k = 0;
     if (!(ls >> k) || k < 2 || k > 65536) fail("malformed channel");
-    c.waypoints.resize(k);
-    for (auto& w : c.waypoints)
+    FlowChannel& c = spec.flow.channels.emplace_back();
+    for (std::size_t j = 0; j < k; ++j) {
+      geom::Point w;
       if (!(ls >> w.x >> w.y)) fail("malformed channel waypoint");
+      c.waypoints.push_back(w);
+    }
   }
-  spec.flow.components.resize(countFor(is, "components"));
-  for (auto& c : spec.flow.components) {
-    auto ls = recordLine(is, "component");
-    if (!(ls >> c.kind >> c.footprint.lo.x >> c.footprint.lo.y >> c.footprint.hi.x >>
-          c.footprint.hi.y))
+  for (std::size_t i = 0, n = r.count("components"); i < n; ++i) {
+    FlowComponent& c = spec.flow.components.emplace_back();
+    if (!(r.line("component") >> c.kind >> c.footprint.lo.x >> c.footprint.lo.y >>
+          c.footprint.hi.x >> c.footprint.hi.y))
       fail("malformed component");
   }
-  spec.pinSites.resize(countFor(is, "pins"));
-  for (auto& p : spec.pinSites) {
-    auto ls = recordLine(is, "pin");
-    if (!(ls >> p.x >> p.y)) fail("malformed pin");
+  for (std::size_t i = 0, n = r.count("pins"); i < n; ++i) {
+    geom::Point p;
+    if (!(r.line("pin") >> p.x >> p.y)) fail("malformed pin");
+    spec.pinSites.push_back(p);
   }
-  spec.clusters.resize(countFor(is, "clusters"));
-  for (auto& c : spec.clusters) {
-    auto ls = recordLine(is, "cluster");
+  for (std::size_t i = 0, n = r.count("clusters"); i < n; ++i) {
+    auto ls = r.line("cluster");
     int lm = 0;
     std::size_t k = 0;
     if (!(ls >> lm >> k) || k > 65536) fail("malformed cluster");
+    ValveCluster& c = spec.clusters.emplace_back();
     c.lengthMatched = lm != 0;
-    c.valves.resize(k);
-    for (auto& v : c.valves)
-      if (!(ls >> v)) fail("malformed cluster member");
+    r.values(ls, k, c.valves, "cluster member");
   }
-  {
-    auto ls = lineFor(is, "horizon");
-    if (!(ls >> spec.assay.horizon)) fail("bad horizon");
-  }
-  spec.assay.operations.resize(countFor(is, "operations"));
-  for (auto& op : spec.assay.operations) {
-    auto ls = recordLine(is, "operation");
+  if (!(r.keyed("horizon") >> spec.assay.horizon)) fail("bad horizon");
+  for (std::size_t i = 0, n = r.count("operations"); i < n; ++i) {
+    auto ls = r.line("operation");
+    ScheduledOperation& op = spec.assay.operations.emplace_back();
     std::size_t no = 0;
     if (!(ls >> op.name >> op.start >> op.end >> no) || no > 65536)
       fail("malformed operation");
-    op.openValves.resize(no);
-    for (auto& v : op.openValves)
-      if (!(ls >> v)) fail("malformed open valve list");
+    r.values(ls, no, op.openValves, "open valve list");
     std::size_t nc = 0;
     if (!(ls >> nc) || nc > 65536) fail("malformed operation");
-    op.closedValves.resize(nc);
-    for (auto& v : op.closedValves)
-      if (!(ls >> v)) fail("malformed closed valve list");
+    r.values(ls, nc, op.closedValves, "closed valve list");
   }
   if (const auto err = spec.validate()) fail("invalid spec: " + *err);
   return spec;
-}
-
-void writeSynthSpecFile(const std::string& path, const SynthSpec& spec) {
-  std::ofstream os(path);
-  if (!os) fail("cannot open for writing: " + path);
-  writeSynthSpec(os, spec);
 }
 
 SynthSpec readSynthSpecFile(const std::string& path) {

@@ -55,7 +55,6 @@ Chip buildChip(const SynthSpec& spec);
 
 void writeSynthSpec(std::ostream& os, const SynthSpec& spec);
 SynthSpec readSynthSpec(std::istream& is);
-void writeSynthSpecFile(const std::string& path, const SynthSpec& spec);
 SynthSpec readSynthSpecFile(const std::string& path);
 
 }  // namespace pacor::chip

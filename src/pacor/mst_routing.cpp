@@ -83,18 +83,12 @@ bool routePlainCluster(const chip::Chip& chip, grid::ObstacleMap& obstacles,
   return true;
 }
 
-std::vector<WorkCluster> routeWithDeclustering(const chip::Chip& chip,
-                                               grid::ObstacleMap& obstacles,
-                                               WorkCluster wc,
-                                               const std::function<grid::NetId()>& allocateNet,
-                                               int* declusterCount) {
-  if (routePlainCluster(chip, obstacles, wc)) return {std::move(wc)};
-  if (wc.spec.valves.size() == 1) {
-    // A singleton cannot fail internal routing (no edges); defensive.
-    wc.internallyRouted = true;
-    return {std::move(wc)};
-  }
-  if (declusterCount != nullptr) ++declusterCount[0];
+std::vector<WorkCluster> splitCluster(const chip::Chip& chip, grid::ObstacleMap& obstacles,
+                                      WorkCluster wc,
+                                      const std::function<grid::NetId()>& allocateNet,
+                                      int* declusterCount) {
+  if (wc.spec.valves.size() < 2) return {std::move(wc)};
+  if (declusterCount != nullptr) ++*declusterCount;
 
   // Median split along the axis with the larger spread keeps the halves
   // geometrically coherent (smaller trees route more easily).
@@ -131,6 +125,15 @@ std::vector<WorkCluster> routeWithDeclustering(const chip::Chip& chip,
     for (auto& p : routedParts) out.push_back(std::move(p));
   }
   return out;
+}
+
+std::vector<WorkCluster> routeWithDeclustering(const chip::Chip& chip,
+                                               grid::ObstacleMap& obstacles,
+                                               WorkCluster wc,
+                                               const std::function<grid::NetId()>& allocateNet,
+                                               int* declusterCount) {
+  if (routePlainCluster(chip, obstacles, wc)) return {std::move(wc)};
+  return splitCluster(chip, obstacles, std::move(wc), allocateNet, declusterCount);
 }
 
 std::vector<WorkCluster> routeClustersStage(const chip::Chip& chip,

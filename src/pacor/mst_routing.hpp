@@ -19,12 +19,22 @@ namespace pacor::core {
 bool routePlainCluster(const chip::Chip& chip, grid::ObstacleMap& obstacles,
                        WorkCluster& wc);
 
-/// Routes a plain cluster with de-clustering on failure (paper Fig. 2):
-/// when the tree cannot be completed, the cluster is median-split into
-/// two halves and each half is retried recursively, bottoming out at
-/// singletons (which need no internal routing). `allocateNet` provides
-/// fresh net ids for the split parts; the input cluster is replaced by
-/// the returned parts (1 part = no split happened).
+/// De-clustering (paper Fig. 2): releases a multi-valve cluster's net,
+/// median-splits its valves along the axis of larger spread into two
+/// plain halves with fresh nets from `allocateNet`, and routes each half
+/// with routeWithDeclustering. A cluster of fewer than two valves is
+/// returned unchanged and not counted. The escape rip-up rounds call it
+/// directly to break up a routed tree that walls in other escapes.
+std::vector<WorkCluster> splitCluster(const chip::Chip& chip, grid::ObstacleMap& obstacles,
+                                      WorkCluster wc,
+                                      const std::function<grid::NetId()>& allocateNet,
+                                      int* declusterCount);
+
+/// Routes a plain cluster with de-clustering on failure: when the tree
+/// cannot be completed, splitCluster halves it and each half is retried
+/// recursively, bottoming out at singletons (which need no internal
+/// routing). The input cluster is replaced by the returned parts (1 part
+/// = no split happened).
 std::vector<WorkCluster> routeWithDeclustering(const chip::Chip& chip,
                                                grid::ObstacleMap& obstacles,
                                                WorkCluster wc,

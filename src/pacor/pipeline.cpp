@@ -35,48 +35,6 @@ double seconds(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
 
-/// Splits a plain multi-valve cluster in half and re-routes the parts
-/// (used by the rip-up rounds when a whole routed tree blocks escapes).
-std::vector<WorkCluster> forceSplit(const chip::Chip& chip, grid::ObstacleMap& obstacles,
-                                    WorkCluster wc,
-                                    const std::function<grid::NetId()>& allocateNet,
-                                    int* declusterCount) {
-  if (wc.spec.valves.size() < 2) return {std::move(wc)};
-  obstacles.release(wc.net);
-  if (declusterCount != nullptr) ++*declusterCount;
-
-  std::vector<chip::ValveId> sorted = wc.spec.valves;
-  geom::Rect box = geom::Rect::fromPoint(chip.valve(sorted[0]).pos);
-  for (const chip::ValveId v : sorted)
-    box = box.unionWith(geom::Rect::fromPoint(chip.valve(v).pos));
-  const bool byX = box.width() >= box.height();
-  std::stable_sort(sorted.begin(), sorted.end(), [&](chip::ValveId a, chip::ValveId b) {
-    const geom::Point pa = chip.valve(a).pos;
-    const geom::Point pb = chip.valve(b).pos;
-    return byX ? pa.x < pb.x : pa.y < pb.y;
-  });
-  const std::size_t half = sorted.size() / 2;
-
-  std::vector<WorkCluster> out;
-  for (int part = 0; part < 2; ++part) {
-    WorkCluster sub;
-    sub.spec.lengthMatched = false;
-    sub.wasDemoted = wc.wasDemoted;
-    sub.spec.valves.assign(
-        sorted.begin() + (part == 0 ? 0 : static_cast<std::ptrdiff_t>(half)),
-        part == 0 ? sorted.begin() + static_cast<std::ptrdiff_t>(half) : sorted.end());
-    sub.net = allocateNet();
-    for (const chip::ValveId v : sub.spec.valves) {
-      const geom::Point cell = chip.valve(v).pos;
-      obstacles.occupy(std::span<const geom::Point>(&cell, 1), sub.net);
-    }
-    auto parts = routeWithDeclustering(chip, obstacles, std::move(sub), allocateNet,
-                                       declusterCount);
-    for (auto& p : parts) out.push_back(std::move(p));
-  }
-  return out;
-}
-
 /// Releases every escape path and pin so the next flow pass re-decides
 /// all pin assignments globally. ECO-frozen survivors keep theirs: their
 /// escape is part of the carried-over contract, and their pins stay
@@ -395,8 +353,8 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
           for (auto& p : parts) next.push_back(std::move(p));
         } else {
           ++escapeSplits;
-          auto parts = forceSplit(chip, obstacles, std::move(wc), allocateNet,
-                                  &result.declusteredCount);
+          auto parts = splitCluster(chip, obstacles, std::move(wc), allocateNet,
+                                    &result.declusteredCount);
           for (auto& p : parts) next.push_back(std::move(p));
         }
       }
@@ -479,8 +437,8 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
       WorkCluster& wc = clusters[i];
       if (relax[i]) {
         ++escapeSplits;
-        auto parts = forceSplit(chip, obstacles, std::move(wc), allocateNet,
-                                &result.declusteredCount);
+        auto parts = splitCluster(chip, obstacles, std::move(wc), allocateNet,
+                                  &result.declusteredCount);
         for (auto& p : parts) next.push_back(std::move(p));
         continue;
       }

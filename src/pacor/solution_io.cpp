@@ -1,9 +1,12 @@
 #include "pacor/solution_io.hpp"
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_set>
+
+#include "util/text_records.hpp"
 
 namespace pacor::core {
 namespace {
@@ -12,41 +15,38 @@ namespace {
   throw std::runtime_error("solution io: " + what);
 }
 
-std::istringstream lineFor(std::istream& is, const char* key) {
-  std::string line;
-  while (std::getline(is, line)) {
-    const auto pos = line.find_first_not_of(" \t\r");
-    if (pos == std::string::npos || line[pos] == '#') continue;
-    std::istringstream ls(line);
-    std::string k;
-    ls >> k;
-    if (k != key) fail(std::string("expected '") + key + "', got '" + k + "'");
-    return ls;
-  }
-  fail(std::string("unexpected EOF, wanted '") + key + "'");
-}
-
-
-/// Rejects absurd record counts before any allocation (a corrupted count
-/// must fail cleanly, not throw std::length_error out of vector).
-std::size_t checkedCount(std::size_t n, const char* what) {
-  constexpr std::size_t kMaxRecords = 16'777'216;
-  if (n > kMaxRecords) fail(std::string("implausible count for ") + what);
-  return n;
-}
-
 void writePath(std::ostream& os, const char* key, const route::Path& path) {
   os << key << ' ' << path.size();
   for (const geom::Point p : path) os << ' ' << p.x << ' ' << p.y;
   os << '\n';
 }
 
-route::Path readPath(std::istringstream& ls) {
-  std::size_t n = 0;
-  if (!(ls >> n)) fail("malformed path length");
-  route::Path path(checkedCount(n, "path cells"));
-  for (auto& p : path)
+/// `text` as a JSON string literal.
+std::string jsonString(const std::string& text) {
+  std::string out = "\"";
+  for (const char ch : text) {
+    if (ch == '"' || ch == '\\') {
+      out += '\\';
+      out += ch;
+    } else if (static_cast<unsigned char>(ch) < 0x20) {
+      char code[8];
+      std::snprintf(code, sizeof code, "\\u%04x", static_cast<unsigned>(ch));
+      out += code;
+    } else {
+      out += ch;
+    }
+  }
+  return out + '"';
+}
+
+route::Path readPath(util::RecordReader& r, const char* key) {
+  auto ls = r.keyed(key);
+  route::Path path;
+  for (std::size_t i = 0, n = r.count(ls, "path cells"); i < n; ++i) {
+    geom::Point p;
     if (!(ls >> p.x >> p.y)) fail("malformed path cell");
+    path.push_back(p);
+  }
   return path;
 }
 
@@ -79,83 +79,49 @@ void writeSolution(std::ostream& os, const PacorResult& result) {
 }
 
 PacorResult readSolution(std::istream& is) {
+  util::RecordReader r(is, "solution io");
   PacorResult result;
   {
-    auto ls = lineFor(is, "pacor-solution");
     int version = 0;
-    ls >> version;
+    r.keyed("pacor-solution") >> version;
     if (version != 1) fail("unsupported version");
   }
+  r.keyed("design") >> result.design;
   {
-    auto ls = lineFor(is, "design");
-    ls >> result.design;
-  }
-  {
-    auto ls = lineFor(is, "complete");
     int c = 0;
-    ls >> c;
+    r.keyed("complete") >> c;
     result.complete = c != 0;
   }
   {
-    auto ls = lineFor(is, "stats");
+    auto ls = r.keyed("stats");
     ls >> result.multiValveClusterCount >> result.matchedClusterCount >>
         result.matchedChannelLength >> result.totalChannelLength >>
         result.escapeRounds >> result.declusteredCount;
     if (ls.fail()) fail("malformed stats");
   }
-  std::size_t n = 0;
-  {
-    auto ls = lineFor(is, "clusters");
-    if (!(ls >> n)) fail("malformed cluster count");
-  }
-  result.clusters.resize(checkedCount(n, "clusters"));
-  for (RoutedCluster& c : result.clusters) {
+  for (std::size_t i = 0, n = r.count("clusters"); i < n; ++i) {
+    RoutedCluster& c = result.clusters.emplace_back();
     {
-      auto ls = lineFor(is, "valves");
-      std::size_t k = 0;
-      if (!(ls >> k)) fail("malformed valves");
-      c.valves.resize(checkedCount(k, "valves"));
-      for (auto& v : c.valves)
-        if (!(ls >> v)) fail("malformed valve id");
+      auto ls = r.keyed("valves");
+      r.values(ls, r.count(ls, "valves"), c.valves, "valve id");
     }
     {
-      auto ls = lineFor(is, "flags");
-      int a = 0, b = 0, r = 0;
-      if (!(ls >> a >> b >> r)) fail("malformed flags");
+      auto ls = r.keyed("flags");
+      int a = 0, b = 0, routed = 0;
+      if (!(ls >> a >> b >> routed)) fail("malformed flags");
       c.lengthMatchRequested = a != 0;
       c.lengthMatched = b != 0;
-      c.routed = r != 0;
+      c.routed = routed != 0;
     }
+    if (!(r.keyed("pin") >> c.pin)) fail("malformed pin");
+    if (!(r.keyed("tap") >> c.tap.x >> c.tap.y)) fail("malformed tap");
     {
-      auto ls = lineFor(is, "pin");
-      if (!(ls >> c.pin)) fail("malformed pin");
+      auto ls = r.keyed("lengths");
+      r.values(ls, r.count(ls, "lengths"), c.valveLengths, "length");
     }
-    {
-      auto ls = lineFor(is, "tap");
-      if (!(ls >> c.tap.x >> c.tap.y)) fail("malformed tap");
-    }
-    {
-      auto ls = lineFor(is, "lengths");
-      std::size_t k = 0;
-      if (!(ls >> k)) fail("malformed lengths");
-      c.valveLengths.resize(checkedCount(k, "lengths"));
-      for (auto& l : c.valveLengths)
-        if (!(ls >> l)) fail("malformed length");
-    }
-    std::size_t m = 0;
-    {
-      auto ls = lineFor(is, "treepaths");
-      if (!(ls >> m)) fail("malformed treepaths");
-    }
-    c.treePaths.resize(checkedCount(m, "tree paths"));
-    for (auto& p : c.treePaths) {
-      auto ls = lineFor(is, "path");
-      p = readPath(ls);
-    }
-    {
-      auto ls = lineFor(is, "escape");
-      c.escapePath = readPath(ls);
-    }
+    for (std::size_t j = 0, m = r.count("treepaths"); j < m; ++j)
+      c.treePaths.push_back(readPath(r, "path"));
+    c.escapePath = readPath(r, "escape");
     c.totalLength = 0;
     std::unordered_set<geom::Point> cells;
     for (const auto& p : c.treePaths) cells.insert(p.begin(), p.end());
@@ -189,7 +155,7 @@ PacorResult solutionFromString(const std::string& text) {
 }
 
 std::string metricsFileText(const PacorResult& result) {
-  return "{\n  \"design\": \"" + result.design + "\",\n  \"metrics\": " +
+  return "{\n  \"design\": " + jsonString(result.design) + ",\n  \"metrics\": " +
          result.metrics.toJson(/*pretty=*/true) + "\n}\n";
 }
 

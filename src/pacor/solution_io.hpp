@@ -42,7 +42,8 @@ PacorResult solutionFromString(const std::string& text);
 
 /// The metrics file of a run, as `pacor route --metrics=` and the serve
 /// tier's `metrics=` write it: `{"design": ..., "metrics": ...}` with the
-/// result's MetricsRegistry as pretty-printed JSON, newline-terminated.
+/// design name as an escaped JSON string and the result's MetricsRegistry
+/// as pretty-printed JSON, newline-terminated.
 std::string metricsFileText(const PacorResult& result);
 
 }  // namespace pacor::core

@@ -22,6 +22,7 @@
 #include "pacor/solution_io.hpp"
 #include "trace/trace.hpp"
 #include "util/sha256.hpp"
+#include "util/text_records.hpp"
 
 namespace pacor::serve {
 
@@ -591,11 +592,6 @@ std::size_t Server::queuedRequests() const {
   return waiting_;
 }
 
-bool Server::draining() const {
-  std::lock_guard<std::mutex> lock(queueMutex_);
-  return draining_;
-}
-
 // --- batch adapter -------------------------------------------------------
 
 int runBatch(std::istream& manifest, std::ostream& out, AdmissionOptions admission) {
@@ -617,8 +613,7 @@ int runBatch(std::istream& manifest, std::ostream& out, AdmissionOptions admissi
   const auto t0 = std::chrono::steady_clock::now();
   while (std::getline(manifest, line)) {
     ++lineNumber;
-    const std::size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
+    if (util::isBlankOrComment(line)) continue;
     ParseError error;
     Slot slot;
     if (std::optional<Request> req = parseRequestLine(line, &error)) {
@@ -649,7 +644,7 @@ int runBatch(std::istream& manifest, std::ostream& out, AdmissionOptions admissi
   }
   std::fprintf(stderr,
                "pacor serve: %zu request(s), %zu design context(s), "
-               "concurrency=%d, %d failure(s), %.2fs\n",
+               "max-inflight=%d, %d failure(s), %.2fs\n",
                slots.size(), server.designCount(), admission.maxInflight, failed,
                seconds);
   return failed;

@@ -238,7 +238,6 @@ class Server {
 
   /// Requests waiting in design queues (excludes the executing ones).
   std::size_t queuedRequests() const;
-  bool draining() const;
 
   std::size_t designCount() const;
 

@@ -1,19 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <random>
 #include <sstream>
 
+#include "chip/delta.hpp"
 #include "chip/generator.hpp"
 #include "chip/io.hpp"
 #include "chip/synth_spec.hpp"
 #include "pacor/pipeline.hpp"
 #include "pacor/solution_io.hpp"
+#include "util/rss.hpp"
 #include "verify/oracle.hpp"
 
 namespace pacor {
 namespace {
 
-/// Robustness sweeps over the three text formats: every truncation and
+/// Robustness sweeps over the four text formats: every truncation and
 /// simple mutation must either parse to a valid object or throw -- never
 /// crash, hang, or return garbage that fails validation.
 
@@ -42,6 +47,23 @@ std::string synthText() {
   std::stringstream buf;
   chip::writeSynthSpec(buf, spec);
   return buf.str();
+}
+
+/// An edit script with every op kind the text format has.
+std::string deltaText() {
+  chip::ChipDelta delta;
+  delta.setName("S1b").setDelta(3).moveValve(0, {3, 4}).setValveSequence(1, "01X");
+  delta.addValve({5, 6}, "10X").removeValve(2).movePin(0, {0, 7}).addPin({0, 9});
+  delta.removePin(1).addObstacle({8, 8}).removeObstacle({8, 8});
+  delta.setCluster(0, {{0, 1}, true}).addCluster({{3, 4, 5}, false}).removeCluster(1);
+  chip::DeltaOp grid;
+  grid.kind = chip::DeltaOp::Kind::kSetGrid;
+  grid.pos = {20, 24};
+  chip::DeltaOp rules = grid;
+  rules.kind = chip::DeltaOp::Kind::kSetRules;
+  delta.ops.push_back(grid);
+  delta.ops.push_back(rules);
+  return chip::deltaToString(delta);
 }
 
 class TruncationFuzz : public ::testing::TestWithParam<int> {};
@@ -109,6 +131,19 @@ TEST_P(TruncationFuzz, SynthReaderNeverCrashes) {
   }
 }
 
+TEST_P(TruncationFuzz, DeltaReaderNeverCrashes) {
+  const std::string full = deltaText();
+  ASSERT_EQ(chip::deltaToString(chip::deltaFromString(full)), full);
+  std::mt19937 rng(static_cast<unsigned>(500 + GetParam()));
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t cut = rng() % full.size();
+    try {
+      (void)chip::deltaFromString(full.substr(0, cut));
+    } catch (const std::runtime_error&) {
+    }
+  }
+}
+
 TEST_P(TruncationFuzz, MutatedChipEitherParsesValidOrThrows) {
   const std::string full = chipText();
   std::mt19937 rng(static_cast<unsigned>(300 + GetParam()));
@@ -131,6 +166,52 @@ TEST_P(TruncationFuzz, MutatedChipEitherParsesValidOrThrows) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TruncationFuzz, ::testing::Range(1, 5));
+
+/// Death-test body: runs `parse`, then exits 0 if it threw
+/// std::runtime_error and raised the process's peak RSS by less than
+/// 32 MB, 1 otherwise. Each parse runs in its own child because the peak
+/// only ever rises: in one process a large peak would hide the next.
+void parseWithinMemoryBound(const std::function<void()>& parse) {
+  const std::int64_t beforeKb = util::peakRssKb();
+  bool threw = false;
+  try {
+    parse();
+  } catch (const std::runtime_error& e) {
+    threw = true;
+    std::fprintf(stderr, "%s\n", e.what());
+  }
+  const std::int64_t grownKb = util::peakRssKb() - beforeKb;
+  std::fprintf(stderr, "threw=%d, peak RSS grew %lld KB\n", threw ? 1 : 0,
+               static_cast<long long>(grownKb));
+  std::exit(threw && grownKb < 32 * 1024 ? 0 : 1);
+}
+
+// Each input claims far more records than it holds. A reader that sized
+// memory from the claim would touch 67 MB to 500 MB before failing; one
+// that stores records as it reads them fails at the real end of input.
+TEST(ReaderMemory, ClaimedCountsAllocateNothing) {
+  const std::string solution =
+      "pacor-solution 1\ndesign x\ncomplete 0\nstats 0 0 0 0 0 0\nclusters 4000000\n";
+  const std::string synth = "pacor-synth 1\nname x\ngrid 16 16\ndelta 1\nvalves 16777216\n";
+  std::string chipFile = chipText();
+  chipFile = chipFile.substr(0, chipFile.find("clusters ")) + "clusters 1\n1 16777216 0 1\n";
+  const std::string delta = "pacor-delta 1\nops 1\nadd-cluster 1 16777216\n";
+
+  EXPECT_EXIT(parseWithinMemoryBound([&] { (void)core::solutionFromString(solution); }),
+              ::testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(parseWithinMemoryBound([&] {
+                std::istringstream is(synth);
+                (void)chip::readSynthSpec(is);
+              }),
+              ::testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(parseWithinMemoryBound([&] {
+                std::istringstream is(chipFile);
+                (void)chip::readChip(is);
+              }),
+              ::testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(parseWithinMemoryBound([&] { (void)chip::deltaFromString(delta); }),
+              ::testing::ExitedWithCode(0), "");
+}
 
 TEST(SolutionOracleRoundTrip, ParseWriteParseVerifyIsStable) {
   // solution_io must be a faithful codec for the oracle: parse -> write ->

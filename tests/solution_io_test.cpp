@@ -100,5 +100,22 @@ TEST(SolutionIo, FileRoundTrip) {
   EXPECT_THROW(readSolutionFile("/nonexistent/dir/x.sol"), std::runtime_error);
 }
 
+TEST(SolutionIo, MetricsFileQuotesTheDesignName) {
+  PacorResult result;
+  result.design = "S1";
+  result.metrics.setInt("escape.rounds", 1);
+  result.metrics.setReal("time.total_s", 0.25);
+  // A name that needs no escaping is written verbatim between quotes.
+  EXPECT_EQ(metricsFileText(result), "{\n  \"design\": \"S1\",\n  \"metrics\": " +
+                                         result.metrics.toJson(/*pretty=*/true) + "\n}\n");
+
+  result.design = "S1\"x\\y";
+  EXPECT_NE(metricsFileText(result).find(R"("design": "S1\"x\\y",)"), std::string::npos)
+      << metricsFileText(result);
+  result.design = "a\x01" "b";
+  EXPECT_NE(metricsFileText(result).find(R"("design": "a\u0001b",)"), std::string::npos)
+      << metricsFileText(result);
+}
+
 }  // namespace
 }  // namespace pacor::core

@@ -4,6 +4,7 @@
 //   pacor route <in.chip> <out.sol> [--variant=pacor|wosel|detour-first]
 //   pacor diff <a.chip> <b.chip> [out.delta]       edit script A -> B
 //   pacor serve [--batch=<manifest>]               long-lived request loop
+//               [--max-inflight=N]                 requests in flight (2)
 //   pacor serve --listen=<host:port>               TCP front end (framed)
 //   pacor check <in.chip> <in.sol>                 independent DRC verify
 //   pacor svg <in.chip> <in.sol> <out.svg>         render a routed chip
@@ -17,6 +18,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,12 +68,14 @@ int usage() {
       "              minimal edit script turning A into B (stdout when no\n"
       "              output file is given); feed it back via route --eco or\n"
       "              the serve eco verb\n"
-      "  pacor serve [--batch=FILE] [--concurrency=N]\n"
+      "  pacor serve [--batch=FILE] [--max-inflight=N]\n"
       "              [--deadline-ms=D] [--max-designs=N]\n"
       "              long-lived request loop: routes one request per manifest\n"
       "              line (from FILE, or stdin when --batch is omitted or '-'),\n"
       "              reusing per-design contexts across requests; each\n"
-      "              request runs on one thread. Line: <design|file.chip>\n"
+      "              request runs on one thread, up to --max-inflight\n"
+      "              (default 2) at once; answers print in request order.\n"
+      "              Line: <design|file.chip>\n"
       "              [sol=P] [metrics=P] [trace=P] [trace-level=L] [variant=V]\n"
       "              [deadline_ms=D], `eco <design> delta=FILE\n"
       "              [options]` to advance a cached design through an edit\n"
@@ -240,24 +244,22 @@ int cmdDiff(int argc, char** argv) {
 }
 
 int cmdServe(int argc, char** argv) {
-  // One set of admission settings for both front ends; --concurrency is
-  // batch mode's maxInflight, --max-inflight and --max-queue the socket's.
+  // One set of admission settings for both front ends. A flag the chosen
+  // mode would ignore is a usage error: batch mode never sheds load, so
+  // --max-queue needs --listen, and --batch and --listen exclude each other.
   serve::net::NetOptions netOpt;
-  int concurrency = 1;
-  std::string batchPath = "-";
+  std::optional<std::string> batchPath;
   std::string listen;
+  bool maxQueueSet = false;
   for (int i = 0; i < argc; ++i) {
     const std::string v = argv[i];
     try {
       if (v.rfind("--batch=", 0) == 0) {
         batchPath = v.substr(8);
-        if (batchPath.empty()) return usage();
+        if (batchPath->empty()) return usage();
       } else if (v.rfind("--listen=", 0) == 0) {
         listen = v.substr(9);
         if (listen.empty()) return usage();
-      } else if (v.rfind("--concurrency=", 0) == 0) {
-        concurrency = std::stoi(v.substr(14));
-        if (concurrency < 1) return usage();
       } else if (v.rfind("--max-inflight=", 0) == 0) {
         netOpt.admission.maxInflight = std::stoi(v.substr(15));
         if (netOpt.admission.maxInflight < 1) return usage();
@@ -265,6 +267,7 @@ int cmdServe(int argc, char** argv) {
         const int maxQueue = std::stoi(v.substr(12));
         if (maxQueue < 0) return usage();
         netOpt.admission.maxQueue = static_cast<std::size_t>(maxQueue);
+        maxQueueSet = true;
       } else if (v.rfind("--deadline-ms=", 0) == 0) {
         const long long ms = std::stoll(v.substr(14));
         if (ms < 0 || ms > serve::kMaxDeadlineMs) return usage();
@@ -285,6 +288,7 @@ int cmdServe(int argc, char** argv) {
     }
   }
   if (!listen.empty()) {
+    if (batchPath) return usage();
     const std::size_t colon = listen.rfind(':');
     if (colon == std::string::npos) return usage();
     netOpt.host = listen.substr(0, colon);
@@ -293,15 +297,15 @@ int cmdServe(int argc, char** argv) {
     netOpt.port = static_cast<std::uint16_t>(port);
     return serve::net::serveForever(netOpt);
   }
-  serve::AdmissionOptions batch = netOpt.admission;
-  batch.maxInflight = concurrency;
-  if (batchPath == "-") return serve::runBatch(std::cin, std::cout, batch) == 0 ? 0 : 1;
-  std::ifstream manifest(batchPath);
+  if (maxQueueSet) return usage();
+  if (batchPath.value_or("-") == "-")
+    return serve::runBatch(std::cin, std::cout, netOpt.admission) == 0 ? 0 : 1;
+  std::ifstream manifest(*batchPath);
   if (!manifest) {
-    std::cerr << "error: cannot read manifest " << batchPath << '\n';
+    std::cerr << "error: cannot read manifest " << *batchPath << '\n';
     return 2;
   }
-  return serve::runBatch(manifest, std::cout, batch) == 0 ? 0 : 1;
+  return serve::runBatch(manifest, std::cout, netOpt.admission) == 0 ? 0 : 1;
 }
 
 int cmdCheck(int argc, char** argv) {
