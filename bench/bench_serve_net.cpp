@@ -20,7 +20,8 @@
 // --serve): request/response tallies, ok-latency p50/p95/p99 ms,
 // throughput, warm_hits (ok responses with cold_builds=0) and
 // warm_hit_ratio over the warm-eligible requests (ok responses beyond
-// each design's first).
+// each design's first), and memo_hits (ok responses answered from the
+// route memo, memo=1) with memo_hit_ratio over the same requests.
 //
 // Exit 0 when every non-busy response was ok with matching hashes and
 // repeat traffic landed warm; 1 otherwise.
@@ -182,6 +183,7 @@ struct RequestLog {
   std::string sha256;
   std::string errorField;  ///< err responses: "deadline" marks an expiry
   int coldBuilds = -1;
+  bool memo = false;
   double millis = 0.0;
 };
 
@@ -271,6 +273,7 @@ int main(int argc, char** argv) {
             entry.status = resp->status;
             entry.sha256 = resp->sha256;
             entry.coldBuilds = resp->coldBuilds;
+            entry.memo = resp->memo;
             entry.errorField = resp->errorField;
           } else {
             entry.status = "unparseable";
@@ -310,7 +313,7 @@ int main(int argc, char** argv) {
   // every other ok response must report cold_builds=0. Warm-eligible =
   // ok responses beyond each design's first.
   std::size_t okCount = 0, busyCount = 0, errorCount = 0, mismatches = 0,
-              deadlineExpired = 0;
+              deadlineExpired = 0, memoHits = 0;
   std::vector<double> latencies;
   std::map<std::string, std::size_t> okPerDesign, coldPerDesign,
       requestsPerDesign, busyPerDesign;
@@ -329,6 +332,7 @@ int main(int argc, char** argv) {
       latencies.push_back(entry.millis);
       ++okPerDesign[entry.design];
       if (entry.coldBuilds != 0) ++coldPerDesign[entry.design];
+      if (entry.memo) ++memoHits;
       if (entry.sha256 != expected[entry.design]) {
         if (mismatches++ == 0)
           std::fprintf(stderr,
@@ -368,10 +372,13 @@ int main(int argc, char** argv) {
       ++failures;
     }
   }
-  const double warmRatio =
-      warmEligible == 0
-          ? 0.0
-          : static_cast<double>(warmHits) / static_cast<double>(warmEligible);
+  const auto ofWarmEligible = [warmEligible](std::size_t hits) {
+    return warmEligible == 0
+               ? 0.0
+               : static_cast<double>(hits) / static_cast<double>(warmEligible);
+  };
+  const double warmRatio = ofWarmEligible(warmHits);
+  const double memoRatio = ofWarmEligible(memoHits);
 
   if (mismatches > 0 || errorCount > 0) ++failures;
 
@@ -404,6 +411,8 @@ int main(int argc, char** argv) {
      << "    \"warm_hits\": " << warmHits << ",\n"
      << "    \"warm_eligible\": " << warmEligible << ",\n"
      << "    \"warm_hit_ratio\": " << warmRatio << ",\n"
+     << "    \"memo_hits\": " << memoHits << ",\n"
+     << "    \"memo_hit_ratio\": " << memoRatio << ",\n"
      << "    \"golden_checked\": " << goldenChecked << ",\n"
      << "    \"all_hashes_match\": " << (mismatches == 0 ? "true" : "false")
      << ",\n"
@@ -427,12 +436,14 @@ int main(int argc, char** argv) {
       "bench_serve_net: %zu requests over %d connection(s) in %.2fs "
       "(%.1f ok/s), %zu ok / %zu busy / %zu error / %zu deadline-expired, "
       "%llu eviction(s), latency ms p50 %.1f p95 %.1f p99 %.1f, "
-      "warm %zu/%zu (%.0f%%), %d golden-checked, %s -> %s\n",
+      "warm %zu/%zu (%.0f%%), memo %zu/%zu (%.0f%%), %d golden-checked, "
+      "%s -> %s\n",
       mix.size(), opt.connections, seconds,
       seconds > 0 ? static_cast<double>(okCount) / seconds : 0.0, okCount,
       busyCount, errorCount, deadlineExpired,
       static_cast<unsigned long long>(evictions), p50, p95, p99, warmHits,
-      warmEligible, warmRatio * 100.0, goldenChecked,
+      warmEligible, warmRatio * 100.0, memoHits, warmEligible,
+      memoRatio * 100.0, goldenChecked,
       failures == 0 ? "PASS" : "FAIL", opt.outPath.c_str());
   return failures == 0 ? 0 : 1;
 }

@@ -53,6 +53,9 @@ socket replay report) and the gate checks instead:
     reference hash the replay driver verified every response against)
     must match tests/golden/solution_hashes.txt in both files.
 
+The summary line also reports memo_hit_ratio (repeats answered from the
+server's route memo); it is not gated.
+
 Usage:
   bench/compare_baseline.py CURRENT.json BASELINE.json \
       [--time-tolerance=1.0] [--stage-time-tolerance=T] \
@@ -166,7 +169,8 @@ def serve_gate(current, baseline, golden, time_tol, warm_tol):
     print(f"PERF GATE: OK (serve: {cur.get('ok')} ok / {cur.get('busy')} busy "
           f"over {cur.get('requests')} requests, p99 {got_p99:.1f}ms vs "
           f"baseline {ref_p99:.1f}ms +{time_tol:.0%}, warm ratio "
-          f"{got_ratio:.2f} vs {ref_ratio:.2f} -{warm_tol:.2f}, {golden_note})")
+          f"{got_ratio:.2f} vs {ref_ratio:.2f} -{warm_tol:.2f}, memo ratio "
+          f"{cur.get('memo_hit_ratio', 0.0):.2f}, {golden_note})")
     return 0
 
 

@@ -192,6 +192,7 @@ std::string formatResponse(const Response& resp) {
       << " complete=" << (resp.complete ? 1 : 0) << " clusters="
       << resp.clusterCount << " length=" << resp.totalLength;
   if (resp.coldBuilds >= 0) out << " cold_builds=" << resp.coldBuilds;
+  if (resp.memo) out << " memo=1";
   if (resp.traceSpans >= 0) out << " trace_spans=" << resp.traceSpans;
   // Only eco responses carry the extra fields: the line stays byte-stable
   // for any manifest that predates the verb.
@@ -222,6 +223,7 @@ std::optional<ParsedResponse> parseResponseLine(const std::string& line) {
     else if (keyedValue(token, "complete", value)) parsed.complete = asInt(value);
     else if (keyedValue(token, "cold_builds", value))
       parsed.coldBuilds = asInt(value);
+    else if (keyedValue(token, "memo", value)) parsed.memo = value == "1";
     else if (keyedValue(token, "field", value)) parsed.errorField = value;
     else if (parsed.status != "ok") {
       if (!parsed.message.empty()) parsed.message += ' ';

@@ -96,6 +96,8 @@ struct Response {
   std::size_t clusterCount = 0;
   std::int64_t totalLength = 0;
   int coldBuilds = -1;  ///< escape.flow.cold_builds; 0 = warm session reuse
+  /// Answered from the design's route memo (serve.hpp): no routing ran.
+  bool memo = false;
   int traceSpans = -1;  ///< recorded spans; -1 = no trace requested
   std::string error;    ///< non-empty when !ok (or trace/file I/O failed)
 
@@ -143,12 +145,16 @@ std::string formatRequestLine(const Request& req);
 /// by batch stdout and the socket frames:
 ///
 ///   ok <design> sha256=<hash> complete=<0|1> clusters=<n> length=<L>
-///       [cold_builds=<n>] [trace_spans=<n>]
+///       [cold_builds=<n>] [memo=1] [trace_spans=<n>]
 ///       [eco=identity|incremental|full dirty=<n> reused=<n>]
 ///   ok <design> gen=1 valves=<n> pins=<n> obstacles=<n>
 ///   busy <design> <reason>
 ///   err <design|-> field=<field> <reason>
 ///   error <design> <message>
+///
+/// `memo=1` marks a route answered from the design's route memo without
+/// routing (Response::memo, always with cold_builds=0); eco answers and
+/// routes with metrics= or trace= never carry it.
 std::string formatResponse(const Response& resp);
 
 /// Minimal decode of a response line (status + design + key=value fields),
@@ -159,6 +165,7 @@ struct ParsedResponse {
   std::string sha256;
   int complete = -1;
   int coldBuilds = -1;
+  bool memo = false;       ///< ok responses: carried memo=1
   std::string errorField;  ///< err responses: the offending field
   std::string message;     ///< busy/err/error: trailing reason text
 };

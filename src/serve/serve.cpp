@@ -125,6 +125,13 @@ void addError(Response& resp, const std::string& error) {
   resp.error += error;
 }
 
+/// Writes an answer's solution text to the request's sol= path, if any.
+void writeSolution(Response& resp, const Request& req) {
+  if (!req.solutionPath.empty() &&
+      !writeOutputFile(req.solutionPath, resp.solutionText))
+    addError(resp, "cannot write solution file " + req.solutionPath);
+}
+
 /// Response fields + side files every successful routing request shares.
 void fillRouteResponse(Response& resp, const core::PacorResult& result,
                        const Request& req) {
@@ -136,12 +143,20 @@ void fillRouteResponse(Response& resp, const core::PacorResult& result,
   resp.coldBuilds =
       static_cast<int>(result.metrics.getInt("escape.flow.cold_builds", -1));
   resp.ok = true;
-  if (!req.solutionPath.empty() &&
-      !writeOutputFile(req.solutionPath, resp.solutionText))
-    addError(resp, "cannot write solution file " + req.solutionPath);
+  writeSolution(resp, req);
   if (!req.metricsPath.empty() &&
       !writeOutputFile(req.metricsPath, core::metricsFileText(result)))
     addError(resp, "cannot write metrics file " + req.metricsPath);
+}
+
+/// The fields of a route answer that the route memo keeps: all that
+/// depend on the routed result alone, not on the request's side files.
+void copyRouteAnswer(Response& to, const Response& from) {
+  to.complete = from.complete;
+  to.solutionText = from.solutionText;
+  to.solutionHash = from.solutionHash;
+  to.clusterCount = from.clusterCount;
+  to.totalLength = from.totalLength;
 }
 
 }  // namespace
@@ -319,33 +334,32 @@ Response Server::execute(const Pending& pending) {
         // An eco edit replaces the chip and the obstacle template, so no
         // request may read the design concurrently.
         std::unique_lock<std::shared_mutex> state(ctx.stateMutex_);
+        std::lock_guard<std::mutex> cache(ctx.cacheMutex_);
         // The ECO base: the cached previous result when the same variant
         // produced it, else a fresh route of the pre-edit chip (paid once;
         // subsequent eco requests of the variant chain). No two variants
         // route alike, so another variant's result is never the base.
-        std::optional<core::PacorResult> prev;
-        {
-          std::lock_guard<std::mutex> cache(ctx.cacheMutex_);
-          if (ctx.hasLast_ && ctx.lastVariant_ == req.variant) prev = ctx.lastResult_;
-        }
-        if (!prev) {
+        std::optional<core::PacorResult> fresh;
+        if (!ctx.hasLast_ || ctx.lastVariant_ != req.variant) {
           core::RouteResources baseResources = resources;
           baseResources.obstacleTemplate = &ctx.obstacleTemplate_;
-          prev = core::routeChip(ctx.chip_, config, baseResources);
+          fresh = core::routeChip(ctx.chip_, config, baseResources);
         }
         core::EcoInfo info;
-        const core::PacorResult result =
-            core::rerouteChip(ctx.chip_, *prev, *delta, config, resources, &info);
+        core::PacorResult result = core::rerouteChip(
+            ctx.chip_, fresh ? *fresh : ctx.lastResult_, *delta, config, resources, &info);
         // Routing is done, so the deadline no longer applies: from here on
-        // the edit commits and the request is answered `ok`.
-        ctx.chip_ = chip::apply(ctx.chip_, *delta);
-        ctx.obstacleTemplate_ = core::makeRoutingObstacleTemplate(ctx.chip_);
-        {
-          std::lock_guard<std::mutex> cache(ctx.cacheMutex_);
-          ctx.lastResult_ = result;
-          ctx.lastVariant_ = req.variant;
-          ctx.hasLast_ = true;
-        }
+        // the edit commits and the request is answered `ok`. The edited
+        // chip and template are built aside, so a throw leaves the context
+        // as it was. The memo goes before they are swapped in: an eco
+        // answer may differ from a route of the edited chip, so it never
+        // answers a route.
+        chip::Chip edited = chip::apply(ctx.chip_, *delta);
+        grid::ObstacleMap editedTemplate = core::makeRoutingObstacleTemplate(edited);
+        ctx.hasLast_ = false;
+        ctx.lastFromRoute_ = false;
+        ctx.chip_ = std::move(edited);
+        ctx.obstacleTemplate_ = std::move(editedTemplate);
         fillRouteResponse(resp, result, req);
         resp.ecoMode = info.mode == core::EcoInfo::Mode::kIdentity ? "identity"
                        : info.mode == core::EcoInfo::Mode::kIncremental
@@ -353,16 +367,38 @@ Response Server::execute(const Pending& pending) {
                            : "full";
         resp.ecoDirty = info.dirtyClusters;
         resp.ecoFrozen = info.frozenClusters;
+        ctx.lastResult_ = std::move(result);
+        ctx.lastVariant_ = req.variant;
+        ctx.hasLast_ = true;
       } else {
         // The chip and template must stay put while this request routes.
         std::shared_lock<std::shared_mutex> state(ctx.stateMutex_);
-        resources.obstacleTemplate = &ctx.obstacleTemplate_;
-        const core::PacorResult result = core::routeChip(ctx.chip_, config, resources);
-        fillRouteResponse(resp, result, req);
-        std::lock_guard<std::mutex> cache(ctx.cacheMutex_);
-        ctx.lastResult_ = result;
-        ctx.lastVariant_ = req.variant;
-        ctx.hasLast_ = true;
+        {
+          // The memo answers a route of an unedited design and variant. A
+          // metrics= or trace= request asks for this route's own metrics
+          // and spans, so it routes and refreshes the memo.
+          std::lock_guard<std::mutex> cache(ctx.cacheMutex_);
+          if (ctx.lastFromRoute_ && ctx.lastVariant_ == req.variant &&
+              req.metricsPath.empty() && !traced) {
+            copyRouteAnswer(resp, ctx.memo_);
+            resp.memo = true;
+          }
+        }
+        if (resp.memo) {
+          resp.ok = true;
+          resp.coldBuilds = 0;  // no session was built
+          writeSolution(resp, req);
+        } else {
+          resources.obstacleTemplate = &ctx.obstacleTemplate_;
+          core::PacorResult result = core::routeChip(ctx.chip_, config, resources);
+          fillRouteResponse(resp, result, req);
+          std::lock_guard<std::mutex> cache(ctx.cacheMutex_);
+          copyRouteAnswer(ctx.memo_, resp);
+          ctx.lastResult_ = std::move(result);
+          ctx.lastVariant_ = req.variant;
+          ctx.hasLast_ = true;
+          ctx.lastFromRoute_ = true;
+        }
       }
     } catch (const util::DeadlineExceeded&) {
       // Left active, the session would record every later request of this

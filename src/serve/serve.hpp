@@ -73,12 +73,12 @@ chip::Chip loadDesign(const std::string& token);
 /// chip (mutated only by ECO edits), the routing obstacle template (static
 /// obstacles + blocked boundary cells, derived once instead of per
 /// request), the design's persistent EscapeFlowSession (warm-rebound into
-/// every request of the design) and the previous routed result for ECO
-/// chains. The design's FIFO in Server::submit runs its requests one at a
-/// time, and a request routes entirely on the dispatcher thread that
-/// popped it. That thread's RouterWorkspace and trace session are
-/// thread-local, so they survive across requests without being owned
-/// here.
+/// every request of the design), the previous routed result for ECO
+/// chains and the route memo. The design's FIFO in Server::submit runs
+/// its requests one at a time, and a request routes entirely on the
+/// dispatcher thread that popped it. That thread's RouterWorkspace and
+/// trace session are thread-local, so they survive across requests
+/// without being owned here.
 class DesignContext {
  public:
   explicit DesignContext(chip::Chip chip);
@@ -119,6 +119,15 @@ class DesignContext {
   bool hasLast_ = false;
   Variant lastVariant_ = Variant::kPacor;
   core::PacorResult lastResult_;
+
+  /// The route memo: set when a route (not an eco) produced lastResult_,
+  /// with that route's answer in memo_ (solution text and hash,
+  /// completion, cluster count, length). Routing is byte-deterministic
+  /// for a chip and variant, and only an eco changes the chip, so a route
+  /// of lastVariant_ while this is set has exactly memo_ as its answer.
+  /// An eco clears it before it swaps in the edited chip.
+  bool lastFromRoute_ = false;
+  Response memo_;
 };
 
 /// Admission-control knobs of the Server::submit queue tier.
@@ -218,13 +227,17 @@ class Server {
   /// else generate or .chip read) happens on the dispatcher thread; its
   /// failure resolves the future to an `error` response.
   ///
-  /// A route re-routes the design's current state. An eco applies its
-  /// edit script and re-routes incrementally (core::rerouteChip) against
-  /// the design's cached previous result -- routing the pre-edit chip
-  /// first when no previous result exists or another variant produced
-  /// it -- then advances the design's chip, obstacle template and result
-  /// cache, so eco requests chain. A gen only loads the design into its
-  /// context.
+  /// A route re-routes the design's current state, or answers from the
+  /// design's route memo (Response::memo) when the design's last result
+  /// came from a route of the same variant and the request asks for no
+  /// metrics= or trace= output. An eco applies its edit script and
+  /// re-routes incrementally (core::rerouteChip) against the design's
+  /// cached previous result -- routing the pre-edit chip first when no
+  /// previous result exists or another variant produced it -- then
+  /// advances the design's chip, obstacle template and result cache, so
+  /// eco requests chain. An eco result never answers a route: the first
+  /// route after an eco routes the edited chip. A gen only loads the
+  /// design into its context.
   std::future<Response> submit(Request req);
 
   /// Stops admitting: every later submit() resolves to `busy draining`.

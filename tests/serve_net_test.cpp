@@ -10,7 +10,8 @@
 //    fresh one-shot routeChip of the same design.
 //  * Warm affinity: the per-design FIFO serializes same-design requests
 //    onto the warm EscapeFlowSession, so a repeat request reports
-//    cold_builds=0.
+//    cold_builds=0; an unedited repeat answers from the route memo and
+//    carries memo=1 through the response line.
 //  * Backpressure: with maxInflight=1/maxQueue=1 and the executing
 //    request parked on a named-pipe design (the chip bytes arrive only
 //    when the test writes them), the over-limit submit gets an immediate
@@ -243,8 +244,11 @@ TEST(ServeNet, RepeatDesignRequestsLandWarm) {
   ASSERT_EQ(second->status, "ok");
   // First request of a design builds its escape-flow session...
   EXPECT_GT(first->coldBuilds, 0);
-  // ...and the per-design FIFO guarantees every repeat lands warm.
+  // ...and the per-design FIFO guarantees every repeat lands warm. The
+  // unedited repeat answers from the route memo.
   EXPECT_EQ(second->coldBuilds, 0);
+  EXPECT_FALSE(first->memo);
+  EXPECT_TRUE(second->memo);
   EXPECT_EQ(first->sha256, second->sha256);
 }
 

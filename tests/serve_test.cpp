@@ -14,6 +14,9 @@
 //    traced request does not hold up other designs' requests.
 //  * Deadlines: a request stopped by its deadline has no effect -- no eco
 //    commit, no side files -- and an `ok` answer always committed.
+//  * Route memo: a repeat route of an unedited design and variant answers
+//    from the stored response; an eco result, another variant's result and
+//    metrics=/trace= requests never do.
 //
 // A case that needs a specific chip object installs it with
 // Server::context(key, load) and then submits `key`.
@@ -602,6 +605,127 @@ TEST(ServeCancel, ExpiredRequestWritesNoSideFiles) {
   EXPECT_TRUE(std::ifstream(metricsPath).good());
   EXPECT_GT(live.traceSpans, 0);
   EXPECT_TRUE(std::ifstream(tracePath).good());
+}
+
+/// The text of the file at `path`.
+std::string fileText(const std::string& path) {
+  std::stringstream buf;
+  buf << std::ifstream(path).rdbuf();
+  return buf.str();
+}
+
+TEST(ServeMemo, RepeatRouteAnswersFromTheMemo) {
+  const chip::Chip chip = chip::generateChip(chip::s3Params());
+  const std::string oneShot =
+      core::solutionToString(core::routeChip(chip, core::pacorDefaultConfig()));
+
+  serve::Server server;
+  server.context("M", [&] { return chip; });
+  const serve::Response first = call(server, requestFor("M"));
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_FALSE(first.memo);
+  EXPECT_GT(first.coldBuilds, 0);
+
+  serve::Request repeat = requestFor("M");
+  repeat.solutionPath = testing::TempDir() + "serve_memo_repeat.sol";
+  std::remove(repeat.solutionPath.c_str());
+  const serve::Response second = call(server, repeat);
+  ASSERT_TRUE(second.ok) << second.error;
+  EXPECT_TRUE(second.memo);
+  EXPECT_EQ(second.coldBuilds, 0);
+  EXPECT_EQ(second.solutionText, oneShot);
+  EXPECT_EQ(second.solutionHash, first.solutionHash);
+  EXPECT_EQ(second.complete, first.complete);
+  EXPECT_EQ(second.clusterCount, first.clusterCount);
+  EXPECT_EQ(second.totalLength, first.totalLength);
+  EXPECT_EQ(fileText(repeat.solutionPath), oneShot);
+}
+
+// An obstacle on a routed escape channel makes the eco re-route that
+// cluster around the frozen rest, which answers differently from a route
+// of the edited chip, so a memo that served the eco result to the next
+// route would fail here.
+TEST(ServeMemo, FirstRouteAfterAnEcoRoutesTheEditedChip) {
+  const chip::Chip base = chip::generateChip(chip::s2Params());
+  const core::PacorResult oneShot = core::routeChip(base, core::pacorDefaultConfig());
+  chip::ChipDelta d;
+  d.addObstacle(channelCellOf(oneShot));
+  const std::string deltaPath = testing::TempDir() + "serve_memo_eco.delta";
+  chip::writeDeltaFile(deltaPath, d);
+  const std::string ecoText = core::solutionToString(
+      core::rerouteChip(base, oneShot, d, core::pacorDefaultConfig()));
+  const std::string editedText = core::solutionToString(
+      core::routeChip(chip::apply(base, d), core::pacorDefaultConfig()));
+  ASSERT_NE(ecoText, editedText) << "the edit must tell the eco answer from a route";
+
+  serve::Server server;
+  server.context("E", [&] { return base; });
+  const serve::Response before = call(server, requestFor("E"));
+  ASSERT_TRUE(before.ok) << before.error;
+  const serve::Response eco = call(server, requestFor("E", deltaPath));
+  ASSERT_TRUE(eco.ok) << eco.error;
+  EXPECT_FALSE(eco.memo);
+  EXPECT_EQ(eco.solutionText, ecoText);
+  const serve::Response after = call(server, requestFor("E"));
+  ASSERT_TRUE(after.ok) << after.error;
+  EXPECT_FALSE(after.memo);
+  EXPECT_EQ(after.solutionText, editedText);
+  const serve::Response repeat = call(server, requestFor("E"));
+  ASSERT_TRUE(repeat.ok) << repeat.error;
+  EXPECT_TRUE(repeat.memo);
+  EXPECT_EQ(repeat.solutionText, editedText);
+}
+
+TEST(ServeMemo, AnotherVariantRoutesAgain) {
+  const chip::Chip chip = chip::generateChip(chip::s2Params());
+  const std::string pacor =
+      core::solutionToString(core::routeChip(chip, core::pacorDefaultConfig()));
+  const std::string wosel =
+      core::solutionToString(core::routeChip(chip, core::withoutSelectionConfig()));
+  ASSERT_NE(pacor, wosel);
+
+  serve::Server server;
+  server.context("V", [&] { return chip; });
+  serve::Request woselRoute = requestFor("V");
+  woselRoute.variant = serve::Variant::kWosel;
+  const std::vector<serve::Request> requests = {requestFor("V"), woselRoute,
+                                                requestFor("V"), requestFor("V")};
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    SCOPED_TRACE(i);
+    const serve::Response resp = call(server, requests[i]);
+    ASSERT_TRUE(resp.ok) << resp.error;
+    EXPECT_EQ(resp.memo, i == 3);
+    EXPECT_EQ(resp.solutionText,
+              requests[i].variant == serve::Variant::kWosel ? wosel : pacor);
+  }
+}
+
+TEST(ServeMemo, MetricsAndTraceRequestsAlwaysRoute) {
+  const chip::Chip chip = chip::generateChip(chip::s2Params());
+  const std::string oneShot =
+      core::solutionToString(core::routeChip(chip, core::pacorDefaultConfig()));
+
+  serve::Server server;
+  server.context("R", [&] { return chip; });
+  ASSERT_TRUE(call(server, requestFor("R")).ok);
+  serve::Request metrics = requestFor("R");
+  metrics.metricsPath = testing::TempDir() + "serve_memo_metrics.json";
+  serve::Request traced = requestFor("R");
+  traced.tracePath = testing::TempDir() + "serve_memo_trace.json";
+  for (const serve::Request& req : {metrics, traced, metrics}) {
+    const serve::Response resp = call(server, req);
+    ASSERT_TRUE(resp.ok) << resp.error;
+    EXPECT_FALSE(resp.memo) << serve::formatRequestLine(req);
+    EXPECT_EQ(resp.solutionText, oneShot);
+  }
+  EXPECT_NE(fileText(metrics.metricsPath).find("\"escape.flow.cold_builds\": 0"),
+            std::string::npos);
+  EXPECT_EQ(spanCount(traced.tracePath, "pacor.route"), 1);
+  // A plain route after them answers from the memo they refreshed.
+  const serve::Response plain = call(server, requestFor("R"));
+  ASSERT_TRUE(plain.ok) << plain.error;
+  EXPECT_TRUE(plain.memo);
+  EXPECT_EQ(plain.solutionText, oneShot);
 }
 
 TEST(ServeBatch, EcoVerbRoutesAndReportsMode) {

@@ -15,9 +15,11 @@
 // 2 on usage errors.
 
 #include <array>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -243,47 +245,60 @@ int cmdDiff(int argc, char** argv) {
   return 0;
 }
 
+/// The whole of `text` as a decimal integer in [lo, hi], or nullopt: a
+/// token with anything after its digits (`2x`, `5abc`) or none at all
+/// (`abc`, ``) is not a number.
+std::optional<long long> wholeNumber(const std::string& text, long long lo,
+                                     long long hi) {
+  long long value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || value < lo || value > hi)
+    return std::nullopt;
+  return value;
+}
+
 int cmdServe(int argc, char** argv) {
   // One set of admission settings for both front ends. A flag the chosen
   // mode would ignore is a usage error: batch mode never sheds load, so
   // --max-queue needs --listen, and --batch and --listen exclude each other.
+  // So is a malformed number, before any thread starts.
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
   serve::net::NetOptions netOpt;
   std::optional<std::string> batchPath;
   std::string listen;
   bool maxQueueSet = false;
   for (int i = 0; i < argc; ++i) {
     const std::string v = argv[i];
-    try {
-      if (v.rfind("--batch=", 0) == 0) {
-        batchPath = v.substr(8);
-        if (batchPath->empty()) return usage();
-      } else if (v.rfind("--listen=", 0) == 0) {
-        listen = v.substr(9);
-        if (listen.empty()) return usage();
-      } else if (v.rfind("--max-inflight=", 0) == 0) {
-        netOpt.admission.maxInflight = std::stoi(v.substr(15));
-        if (netOpt.admission.maxInflight < 1) return usage();
-      } else if (v.rfind("--max-queue=", 0) == 0) {
-        const int maxQueue = std::stoi(v.substr(12));
-        if (maxQueue < 0) return usage();
-        netOpt.admission.maxQueue = static_cast<std::size_t>(maxQueue);
-        maxQueueSet = true;
-      } else if (v.rfind("--deadline-ms=", 0) == 0) {
-        const long long ms = std::stoll(v.substr(14));
-        if (ms < 0 || ms > serve::kMaxDeadlineMs) return usage();
-        netOpt.admission.defaultDeadlineMs = ms;
-      } else if (v.rfind("--max-designs=", 0) == 0) {
-        const long long cap = std::stoll(v.substr(14));
-        if (cap < 0) return usage();
-        netOpt.admission.maxDesigns = static_cast<std::size_t>(cap);
-      } else if (v == "--allow-fifo-designs") {
-        // TEST-ONLY: lets liveness smoke tests park a request on a named
-        // pipe; production loads reject non-regular files.
-        netOpt.admission.allowFifoDesigns = true;
-      } else {
-        return usage();
-      }
-    } catch (const std::exception&) {
+    if (v.rfind("--batch=", 0) == 0) {
+      batchPath = v.substr(8);
+      if (batchPath->empty()) return usage();
+    } else if (v.rfind("--listen=", 0) == 0) {
+      listen = v.substr(9);
+      if (listen.empty()) return usage();
+    } else if (v.rfind("--max-inflight=", 0) == 0) {
+      const auto n = wholeNumber(v.substr(15), 1, kIntMax);
+      if (!n) return usage();
+      netOpt.admission.maxInflight = static_cast<int>(*n);
+    } else if (v.rfind("--max-queue=", 0) == 0) {
+      const auto n = wholeNumber(v.substr(12), 0, kIntMax);
+      if (!n) return usage();
+      netOpt.admission.maxQueue = static_cast<std::size_t>(*n);
+      maxQueueSet = true;
+    } else if (v.rfind("--deadline-ms=", 0) == 0) {
+      const auto ms = wholeNumber(v.substr(14), 0, serve::kMaxDeadlineMs);
+      if (!ms) return usage();
+      netOpt.admission.defaultDeadlineMs = *ms;
+    } else if (v.rfind("--max-designs=", 0) == 0) {
+      const auto cap =
+          wholeNumber(v.substr(14), 0, std::numeric_limits<long long>::max());
+      if (!cap) return usage();
+      netOpt.admission.maxDesigns = static_cast<std::size_t>(*cap);
+    } else if (v == "--allow-fifo-designs") {
+      // TEST-ONLY: lets liveness smoke tests park a request on a named
+      // pipe; production loads reject non-regular files.
+      netOpt.admission.allowFifoDesigns = true;
+    } else {
       return usage();
     }
   }
@@ -292,9 +307,9 @@ int cmdServe(int argc, char** argv) {
     const std::size_t colon = listen.rfind(':');
     if (colon == std::string::npos) return usage();
     netOpt.host = listen.substr(0, colon);
-    const int port = std::stoi(listen.substr(colon + 1));
-    if (netOpt.host.empty() || port < 0 || port > 65535) return usage();
-    netOpt.port = static_cast<std::uint16_t>(port);
+    const auto port = wholeNumber(listen.substr(colon + 1), 0, 65535);
+    if (netOpt.host.empty() || !port) return usage();
+    netOpt.port = static_cast<std::uint16_t>(*port);
     return serve::net::serveForever(netOpt);
   }
   if (maxQueueSet) return usage();

@@ -23,7 +23,9 @@
 //   (e) the long-lived serve loop is invisible too: submitting the design
 //       with the seed's variant= to one shared serve::Server (reused
 //       workspaces and obstacle templates across all previous seeds'
-//       requests) is byte-identical to the independent one-shot run,
+//       requests) is byte-identical to the independent one-shot run, and
+//       submitting it again is answered from the route memo with the same
+//       bytes,
 //   (g) ECO differential: a seeded random edit script (1-8 edits -- valve
 //       moves/adds/removes, obstacle adds/removes, cluster flips) is
 //       applied one delta at a time, chaining each rerouteChip() result
@@ -139,6 +141,8 @@ struct Tally {
   std::uint32_t ecoFull = 0;
   // Property (h): randomized FPVA valve arrays routed differentially.
   std::uint32_t fpva = 0;
+  // Property (e): repeat requests answered from the route memo.
+  std::uint32_t memoHits = 0;
   // Property (i): serve protocol lines round-tripped / junk lines survived.
   std::uint64_t protocolLines = 0;
 };
@@ -643,7 +647,7 @@ bool runDesign(const Options& opt, serve::Server& server, std::uint32_t seed,
   request.variant = variantForSeed(seed);
   const std::shared_ptr<serve::DesignContext> pin =
       server.context(request.design, [&chip] { return chip; });
-  const serve::Response served = server.submit(std::move(request)).get();
+  const serve::Response served = server.submit(request).get();
   if (!served.ok || served.solutionText != resultText) {
     std::cerr << "FAIL seed " << seed << ": serve::Server output differs from "
               << "the independent one-shot run ("
@@ -651,6 +655,19 @@ bool runDesign(const Options& opt, serve::Server& server, std::uint32_t seed,
               << ")\n";
     dumpRepro(opt, seed, chip, result);
     ok = false;
+  } else {
+    // The unedited repeat is the route memo's: the same bytes, no route.
+    const serve::Response repeat = server.submit(std::move(request)).get();
+    if (!repeat.ok || !repeat.memo || repeat.solutionText != resultText) {
+      std::cerr << "FAIL seed " << seed << ": the repeat request "
+                << (!repeat.ok     ? "failed: " + repeat.error
+                    : !repeat.memo ? "missed the route memo"
+                                   : "differs from the first answer")
+                << '\n';
+      dumpRepro(opt, seed, chip, result);
+      ok = false;
+    }
+    tally.memoHits += repeat.memo ? 1 : 0;
   }
 
   // (c) oracle / DRC agreement on clean-vs-dirty.
@@ -825,7 +842,7 @@ int main(int argc, char** argv) {
             << " warm escape rounds replayed, eco steps " << tally.ecoIdentity << " identity / "
             << tally.ecoIncremental << " incremental / " << tally.ecoFull
             << " full, " << tally.fpva << " fpva arrays, "
-            << tally.protocolLines << " protocol lines, " << tally.failures
-            << " failure(s)\n";
+            << tally.protocolLines << " protocol lines, " << tally.memoHits
+            << " memo hits, " << tally.failures << " failure(s)\n";
   return tally.failures == 0 ? 0 : 1;
 }
