@@ -19,7 +19,9 @@
 
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "chip/generator.hpp"
@@ -27,6 +29,7 @@
 #include "pacor/solution_io.hpp"
 #include "util/rss.hpp"
 #include "util/sha256.hpp"
+#include "util/whole_number.hpp"
 #include "verify/oracle.hpp"
 
 namespace {
@@ -67,18 +70,26 @@ void jsonCounters(std::FILE* f, const char* key,
                static_cast<unsigned long long>(c.boundedVisits), tail);
 }
 
+int usage() {
+  std::fprintf(stderr, "usage: bench_fpva [out.json] [--sizes=8,16,32,40,64]\n");
+  return 2;
+}
+
+/// The comma-separated sizes of `arg`; empty when any token is not a whole
+/// positive number (`8x`, ``).
 std::vector<int> parseSizes(const std::string& arg) {
   std::vector<int> sizes;
   std::size_t pos = 0;
-  while (pos < arg.size()) {
+  while (true) {
     const std::size_t comma = arg.find(',', pos);
-    const std::string tok =
-        arg.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    sizes.push_back(std::stoi(tok));
-    if (comma == std::string::npos) break;
+    const auto size = pacor::util::wholeNumber<int>(
+        std::string_view(arg).substr(pos, comma - pos), 1,
+        std::numeric_limits<int>::max());
+    if (!size) return {};
+    sizes.push_back(*size);
+    if (comma == std::string::npos) return sizes;
     pos = comma + 1;
   }
-  return sizes;
 }
 
 }  // namespace
@@ -90,10 +101,9 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--sizes=", 0) == 0) {
       sizes = parseSizes(arg.substr(8));
-      if (sizes.empty()) {
-        std::fprintf(stderr, "empty --sizes list\n");
-        return 2;
-      }
+      if (sizes.empty()) return usage();
+    } else if (arg.rfind("--", 0) == 0) {
+      return usage();
     } else {
       outPath = arg;
     }

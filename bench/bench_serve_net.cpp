@@ -44,12 +44,15 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "pacor/pipeline.hpp"
@@ -57,6 +60,7 @@
 #include "serve/net.hpp"
 #include "serve/serve.hpp"
 #include "util/sha256.hpp"
+#include "util/whole_number.hpp"
 
 namespace {
 
@@ -86,47 +90,55 @@ int usage() {
   return 2;
 }
 
+/// Stores the whole of `text` in `out` when it is a number in [lo, hi];
+/// `--requests=5x` is a usage error, not 5 requests.
+template <typename T>
+bool setWhole(T& out, std::string_view text, std::type_identity_t<T> lo,
+              std::type_identity_t<T> hi) {
+  const auto n = util::wholeNumber<T>(text, lo, hi);
+  if (n) out = *n;
+  return n.has_value();
+}
+
 bool parseOptions(int argc, char** argv, Options& opt) {
+  constexpr int kIntMax = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string v = argv[i];
-    try {
-      if (v.rfind("--connect=", 0) == 0) {
-        const std::string hostPort = v.substr(10);
-        const std::size_t colon = hostPort.rfind(':');
-        if (colon == std::string::npos) return false;
-        opt.connectHost = hostPort.substr(0, colon);
-        opt.connectPort =
-            static_cast<std::uint16_t>(std::stoi(hostPort.substr(colon + 1)));
-      } else if (v.rfind("--requests=", 0) == 0) {
-        opt.requests = std::stoi(v.substr(11));
-      } else if (v.rfind("--connections=", 0) == 0) {
-        opt.connections = std::stoi(v.substr(14));
-      } else if (v.rfind("--skew=", 0) == 0) {
-        opt.skew = std::stod(v.substr(7));
-      } else if (v.rfind("--max-inflight=", 0) == 0) {
-        opt.maxInflight = std::stoi(v.substr(15));
-      } else if (v.rfind("--max-queue=", 0) == 0) {
-        opt.maxQueue = static_cast<std::size_t>(std::stoul(v.substr(12)));
-      } else if (v.rfind("--deadline-ms=", 0) == 0) {
-        opt.deadlineMs = std::stoll(v.substr(14));
-        if (opt.deadlineMs < 0 || opt.deadlineMs > serve::kMaxDeadlineMs)
-          return false;
-      } else if (v.rfind("--max-designs=", 0) == 0) {
-        opt.maxDesigns = static_cast<std::size_t>(std::stoul(v.substr(14)));
-      } else if (v.rfind("--seed=", 0) == 0) {
-        opt.seed = static_cast<std::uint32_t>(std::stoul(v.substr(7)));
-      } else if (v.rfind("--golden=", 0) == 0) {
-        opt.goldenPath = v.substr(9);
-      } else if (v.rfind("--", 0) == 0) {
-        return false;
-      } else {
-        opt.outPath = v;
-      }
-    } catch (const std::exception&) {
+    const auto after = [&](std::size_t at) { return std::string_view(v).substr(at); };
+    bool ok = true;
+    if (v.rfind("--connect=", 0) == 0) {
+      const std::size_t colon = v.rfind(':');
+      if (colon == std::string::npos) return false;
+      opt.connectHost = v.substr(10, colon - 10);
+      ok = setWhole(opt.connectPort, after(colon + 1), 1, 65535);
+    } else if (v.rfind("--requests=", 0) == 0) {
+      ok = setWhole(opt.requests, after(11), 1, kIntMax);
+    } else if (v.rfind("--connections=", 0) == 0) {
+      ok = setWhole(opt.connections, after(14), 1, kIntMax);
+    } else if (v.rfind("--skew=", 0) == 0) {
+      ok = setWhole(opt.skew, after(7), std::numeric_limits<double>::lowest(),
+                    std::numeric_limits<double>::max());
+    } else if (v.rfind("--max-inflight=", 0) == 0) {
+      ok = setWhole(opt.maxInflight, after(15), 1, kIntMax);
+    } else if (v.rfind("--max-queue=", 0) == 0) {
+      ok = setWhole(opt.maxQueue, after(12), 0, kIntMax);
+    } else if (v.rfind("--deadline-ms=", 0) == 0) {
+      ok = setWhole(opt.deadlineMs, after(14), 0, serve::kMaxDeadlineMs);
+    } else if (v.rfind("--max-designs=", 0) == 0) {
+      ok = setWhole(opt.maxDesigns, after(14), 0, std::numeric_limits<std::size_t>::max());
+    } else if (v.rfind("--seed=", 0) == 0) {
+      ok = setWhole(opt.seed, after(7), 0,
+                    std::numeric_limits<std::uint32_t>::max());
+    } else if (v.rfind("--golden=", 0) == 0) {
+      opt.goldenPath = v.substr(9);
+    } else if (v.rfind("--", 0) == 0) {
       return false;
+    } else {
+      opt.outPath = v;
     }
+    if (!ok) return false;
   }
-  return opt.requests > 0 && opt.connections > 0;
+  return true;
 }
 
 /// {design: sha256} from the `name hash` lines of the golden file; empty

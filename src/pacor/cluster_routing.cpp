@@ -23,8 +23,16 @@ constexpr std::size_t kExactSelectionLimit = 400;
 struct CandidatePlan {
   std::optional<dme::DmeCandidate> tree;  ///< nullopt = two-valve direct edge
   std::vector<std::pair<Point, Point>> edgeSpans;  ///< for the overlap cost
+  geom::Rect box;  ///< union of the edge boxes
   std::int64_t mismatchEstimate = 0;
 };
+
+/// Union of the bounding boxes of `spans`.
+geom::Rect spanBox(const std::vector<std::pair<Point, Point>>& spans) {
+  geom::Rect box{{0, 0}, {-1, -1}};  // empty
+  for (const auto& [a, b] : spans) box = box.unionWith(geom::boundingBox(a, b));
+  return box;
+}
 
 /// Eq. 4: overlap between the bounding boxes of two tree edges, as a
 /// fraction of the smaller box (inclusive lattice areas).
@@ -37,8 +45,11 @@ double overlapCost(const std::pair<Point, Point>& e1, const std::pair<Point, Poi
   return denom > 0 ? static_cast<double>(inter) / static_cast<double>(denom) : 0.0;
 }
 
-/// Eq. 3 summed over all edge pairs of two candidate plans.
+/// Eq. 3 summed over all edge pairs of two candidate plans. Each term
+/// compares two edge boxes that lie inside the plan boxes, so disjoint plan
+/// boxes make every term 0.0 and the sum +0.0: skipping them is exact.
 double pairOverlap(const CandidatePlan& a, const CandidatePlan& b) {
+  if (a.box.intersectWith(b.box).empty()) return 0.0;
   double total = 0.0;
   for (const auto& ea : a.edgeSpans)
     for (const auto& eb : b.edgeSpans) total += overlapCost(ea, eb);
@@ -50,6 +61,7 @@ CandidatePlan directEdgePlan(const chip::Chip& chip, const WorkCluster& wc) {
   const Point a = chip.valve(wc.spec.valves[0]).pos;
   const Point b = chip.valve(wc.spec.valves[1]).pos;
   plan.edgeSpans = {{a, b}};
+  plan.box = spanBox(plan.edgeSpans);
   plan.mismatchEstimate = 0;  // a middle tap splits the edge evenly
   return plan;
 }
@@ -68,6 +80,7 @@ std::vector<CandidatePlan> dmePlans(const chip::Chip& chip,
     for (const auto& [p, c] : cand.edges())
       plan.edgeSpans.emplace_back(cand.embed[static_cast<std::size_t>(p)],
                                   cand.embed[static_cast<std::size_t>(c)]);
+    plan.box = spanBox(plan.edgeSpans);
     plan.tree = std::move(cand);
     plans.push_back(std::move(plan));
   }

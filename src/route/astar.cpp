@@ -63,7 +63,7 @@ AStarResult aStarRouteBuckets(const grid::ObstacleMap& obstacles,
   const SearchGoal goal = SearchGoal::of(request.targets);
   const auto usable = [&](Point p) {
     return obstacles.isFreeFor(p, request.net) &&
-           (request.forbidden == nullptr || !request.forbidden->contains(p));
+           (request.fence == nullptr || !request.fence->blocks(p, request.fenceGroup));
   };
 
   stampTargets(ws, g, request.targets);
@@ -104,7 +104,7 @@ AStarResult aStarRouteHeap(const grid::ObstacleMap& obstacles,
   const SearchGoal goal = SearchGoal::of(request.targets);
   const auto usable = [&](Point p) {
     return obstacles.isFreeFor(p, request.net) &&
-           (request.forbidden == nullptr || !request.forbidden->contains(p));
+           (request.fence == nullptr || !request.fence->blocks(p, request.fenceGroup));
   };
   const auto stepCost = [&](Point q) {
     return 1.0 + (*request.historyCost)[static_cast<std::size_t>(g.index(q))];
@@ -148,6 +148,23 @@ AStarResult aStarRouteHeap(const grid::ObstacleMap& obstacles,
 }
 
 }  // namespace
+
+void TerminalFence::add(Point p, std::int32_t group) {
+  const std::int32_t cell = grid_.index(p);
+  std::int32_t& o = owner_[static_cast<std::size_t>(cell)];
+  if (o == kNone || o == group) {
+    o = group;
+    return;
+  }
+  const auto share = [&](std::int32_t owner) {
+    const std::pair entry{cell, owner};
+    const auto at = std::lower_bound(shared_.begin(), shared_.end(), entry);
+    if (at == shared_.end() || *at != entry) shared_.insert(at, entry);
+  };
+  if (o != kShared) share(o);
+  share(group);
+  o = kShared;
+}
 
 AStarResult aStarRoute(const grid::ObstacleMap& obstacles, const AStarRequest& request,
                        RouterWorkspace* workspace) {

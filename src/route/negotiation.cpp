@@ -1,7 +1,7 @@
 #include "route/negotiation.hpp"
 
+#include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "route/astar.hpp"
@@ -18,13 +18,14 @@ grid::NetId edgeNet(std::size_t edgeIndex) {
 
 AStarRequest requestFor(const NegotiationEdge& edge, std::size_t edgeIndex,
                         const std::vector<double>& history,
-                        const std::unordered_set<Point>* forbidden) {
+                        const TerminalFence& fence, std::int32_t fenceGroup) {
   AStarRequest req;
   req.sources = edge.a;
   req.targets = edge.b;
   req.net = edgeNet(edgeIndex);
   req.historyCost = &history;
-  req.forbidden = forbidden;
+  req.fence = &fence;
+  req.fenceGroup = fenceGroup;
   return req;
 }
 
@@ -45,10 +46,12 @@ NegotiationResult negotiatedRoute(const grid::ObstacleMap& obstacles,
   std::vector<double> history(static_cast<std::size_t>(g.cellCount()), 0.0);
 
   // Terminal cells per edge (merging nodes may be shared within a group).
-  std::vector<std::unordered_set<Point>> terminals(edges.size());
+  // A cell listed twice is harmless: the loops below release it once and
+  // find it free the second time, and the fence records it once.
+  std::vector<std::vector<Point>> terminals(edges.size());
   for (std::size_t i = 0; i < edges.size(); ++i) {
-    terminals[i].insert(edges[i].a.begin(), edges[i].a.end());
-    terminals[i].insert(edges[i].b.begin(), edges[i].b.end());
+    terminals[i] = edges[i].a;
+    terminals[i].insert(terminals[i].end(), edges[i].b.begin(), edges[i].b.end());
   }
 
   // One private copy for the whole negotiation. Terminal cells may arrive
@@ -67,20 +70,17 @@ NegotiationResult negotiatedRoute(const grid::ObstacleMap& obstacles,
   // fence, an unrelated edge could route straight through another
   // cluster's valve or merging node (free here, but owned in the caller's
   // map — committing such a path silently corrupts cross-cluster
-  // ownership). Per group, forbid every terminal of every other group.
-  std::unordered_set<Point> allTerminals;
-  for (const auto& terms : terminals) allTerminals.insert(terms.begin(), terms.end());
-  std::unordered_map<int, std::unordered_set<Point>> forbiddenOf;
-  for (std::size_t i = 0; i < edges.size(); ++i) forbiddenOf.try_emplace(edges[i].group);
-  for (auto& [group, fence] : forbiddenOf) {
-    fence = allTerminals;
-    for (std::size_t i = 0; i < edges.size(); ++i)
-      if (edges[i].group == group)
-        for (const Point t : terminals[i]) fence.erase(t);
+  // ownership). The fence blocks, for each group, every terminal of every
+  // other group. Groups enter it as dense ids 0, 1, ..., clear of its
+  // negative markers.
+  TerminalFence fence(g);
+  std::unordered_map<int, std::int32_t> fenceIds;
+  std::vector<std::int32_t> fenceGroup(edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const auto next = static_cast<std::int32_t>(fenceIds.size());
+    fenceGroup[i] = fenceIds.try_emplace(edges[i].group, next).first->second;
+    for (const Point t : terminals[i]) fence.add(t, fenceGroup[i]);
   }
-  const auto fenceFor = [&](std::size_t edgeIndex) {
-    return &forbiddenOf.at(edges[edgeIndex].group);
-  };
 
   for (int r = 0; r < config.maxIterations; ++r) {
     util::checkDeadline();
@@ -109,14 +109,14 @@ NegotiationResult negotiatedRoute(const grid::ObstacleMap& obstacles,
       }
 
       AStarResult found =
-          aStarRoute(local, requestFor(edges[i], i, history, fenceFor(i)));
+          aStarRoute(local, requestFor(edges[i], i, history, fence, fenceGroup[i]));
 
       if (found.success) {
         // Released terminal cells that the path did not use go back to
         // their sibling owner; used ones transfer to this edge.
-        const std::unordered_set<Point> onPath(found.path.begin(), found.path.end());
         for (const auto& [cell, owner] : restored)
-          if (!onPath.count(cell)) txn.occupy(std::span<const Point>(&cell, 1), owner);
+          if (std::find(found.path.begin(), found.path.end(), cell) == found.path.end())
+            txn.occupy(std::span<const Point>(&cell, 1), owner);
         txn.occupy(found.path, edgeNet(i));
         result.paths[i] = std::move(found.path);
         result.routed[i] = true;

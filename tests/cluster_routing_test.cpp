@@ -2,7 +2,11 @@
 
 #include <unordered_set>
 
+#include "chip/generator.hpp"
 #include "pacor/cluster_routing.hpp"
+#include "pacor/pipeline.hpp"
+#include "pacor/solution_io.hpp"
+#include "util/sha256.hpp"
 
 namespace pacor::core {
 namespace {
@@ -166,6 +170,21 @@ TEST(LmRouting, WithoutSelectionUsesFirstCandidate) {
   EXPECT_TRUE(fxA.clusters[0].internallyRouted);
   EXPECT_TRUE(fxB.clusters[0].internallyRouted);
   EXPECT_GE(a.candidatesBuilt, b.candidatesBuilt);  // same candidate builder
+}
+
+TEST(LmRouting, NegotiationPastFirstIterationIsBitStable) {
+  // Every Table-1 design finishes negotiation in iteration 1. This dense,
+  // fully length-matched FPVA runs Alg. 1 to gamma: history costs, rip-up
+  // and demotion all shape its solution, which is pinned byte for byte.
+  const chip::Chip chip =
+      chip::generateFpvaChip(chip::parseFpvaSpec("fpva:20x20:lm=100:block=4x6:pitch=7"));
+  const PacorResult result = routeChip(chip);
+  EXPECT_EQ(util::sha256Hex(solutionToString(result)),
+            "35637f21b0b012e8ac4500f675d7c1ebd35af245a351310a3b7dbddc4e67a3c9");
+  EXPECT_EQ(result.metrics.getInt("lm.candidates_built"), 45);
+  EXPECT_EQ(result.metrics.getInt("lm.negotiation_iterations"), 10);
+  EXPECT_EQ(result.metrics.getInt("lm.demoted"), 10);
+  EXPECT_EQ(result.metrics.getInt("clusters.matched"), 5);
 }
 
 TEST(LmRouting, EmptyInputIsNoop) {

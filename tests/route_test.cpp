@@ -195,6 +195,51 @@ TEST(Negotiation, ForeignGroupTerminalsAreFenced) {
   EXPECT_EQ(r.paths[1].back(), (Point{4, 6}));
 }
 
+TEST(Negotiation, SharedTerminalIsFencedForOtherGroups) {
+  // (4,4) is a terminal of groups 0 and 1. Group 0 connects there first;
+  // group 2, whose straight route runs through it, must go around.
+  ObstacleMap obs((Grid(9, 9)));
+  std::vector<NegotiationEdge> edges(3);
+  edges[0].a = {{0, 4}};
+  edges[0].b = {{4, 4}};
+  edges[0].group = 0;
+  edges[1].a = {{8, 4}};
+  edges[1].b = {{4, 4}};
+  edges[1].group = 1;
+  edges[2].a = {{4, 0}};
+  edges[2].b = {{4, 8}};
+  edges[2].group = 2;
+  const auto r = negotiatedRoute(obs, edges);
+  ASSERT_TRUE(r.routed[0]);
+  ASSERT_TRUE(r.routed[2]);
+  EXPECT_EQ(r.paths[0].back(), (Point{4, 4}));
+  for (const Point p : r.paths[2]) EXPECT_NE(p, (Point{4, 4}));
+}
+
+TEST(Negotiation, SharedTerminalStaysOpenToEachOwner) {
+  // As above, but group 0 is sealed in and never routes: the shared
+  // terminal must then be open to group 1, its other owner.
+  ObstacleMap obs((Grid(9, 9)));
+  obs.addObstacle({1, 0});
+  obs.addObstacle({0, 1});
+  std::vector<NegotiationEdge> edges(3);
+  edges[0].a = {{0, 0}};
+  edges[0].b = {{4, 4}};
+  edges[0].group = 0;
+  edges[1].a = {{8, 4}};
+  edges[1].b = {{4, 4}};
+  edges[1].group = 1;
+  edges[2].a = {{4, 0}};
+  edges[2].b = {{4, 8}};
+  edges[2].group = 2;
+  const auto r = negotiatedRoute(obs, edges);
+  EXPECT_FALSE(r.routed[0]);
+  ASSERT_TRUE(r.routed[1]);
+  ASSERT_TRUE(r.routed[2]);
+  EXPECT_EQ(r.paths[1].back(), (Point{4, 4}));
+  for (const Point p : r.paths[2]) EXPECT_NE(p, (Point{4, 4}));
+}
+
 TEST(Negotiation, ReportsFailureWhenImpossible) {
   ObstacleMap obs((Grid(3, 3)));
   for (std::int32_t y = 0; y < 3; ++y) obs.addObstacle({1, y});

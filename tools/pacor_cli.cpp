@@ -15,7 +15,6 @@
 // 2 on usage errors.
 
 #include <array>
-#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -37,6 +36,7 @@
 #include "serve/net.hpp"
 #include "serve/serve.hpp"
 #include "trace/trace.hpp"
+#include "util/whole_number.hpp"
 #include "verify/oracle.hpp"
 #include "viz/svg.hpp"
 
@@ -245,19 +245,6 @@ int cmdDiff(int argc, char** argv) {
   return 0;
 }
 
-/// The whole of `text` as a decimal integer in [lo, hi], or nullopt: a
-/// token with anything after its digits (`2x`, `5abc`) or none at all
-/// (`abc`, ``) is not a number.
-std::optional<long long> wholeNumber(const std::string& text, long long lo,
-                                     long long hi) {
-  long long value = 0;
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || stop != end || value < lo || value > hi)
-    return std::nullopt;
-  return value;
-}
-
 int cmdServe(int argc, char** argv) {
   // One set of admission settings for both front ends. A flag the chosen
   // mode would ignore is a usage error: batch mode never sheds load, so
@@ -277,21 +264,22 @@ int cmdServe(int argc, char** argv) {
       listen = v.substr(9);
       if (listen.empty()) return usage();
     } else if (v.rfind("--max-inflight=", 0) == 0) {
-      const auto n = wholeNumber(v.substr(15), 1, kIntMax);
+      const auto n = util::wholeNumber<long long>(v.substr(15), 1, kIntMax);
       if (!n) return usage();
       netOpt.admission.maxInflight = static_cast<int>(*n);
     } else if (v.rfind("--max-queue=", 0) == 0) {
-      const auto n = wholeNumber(v.substr(12), 0, kIntMax);
+      const auto n = util::wholeNumber<long long>(v.substr(12), 0, kIntMax);
       if (!n) return usage();
       netOpt.admission.maxQueue = static_cast<std::size_t>(*n);
       maxQueueSet = true;
     } else if (v.rfind("--deadline-ms=", 0) == 0) {
-      const auto ms = wholeNumber(v.substr(14), 0, serve::kMaxDeadlineMs);
+      const auto ms =
+          util::wholeNumber<long long>(v.substr(14), 0, serve::kMaxDeadlineMs);
       if (!ms) return usage();
       netOpt.admission.defaultDeadlineMs = *ms;
     } else if (v.rfind("--max-designs=", 0) == 0) {
-      const auto cap =
-          wholeNumber(v.substr(14), 0, std::numeric_limits<long long>::max());
+      const auto cap = util::wholeNumber<long long>(
+          v.substr(14), 0, std::numeric_limits<long long>::max());
       if (!cap) return usage();
       netOpt.admission.maxDesigns = static_cast<std::size_t>(*cap);
     } else if (v == "--allow-fifo-designs") {
@@ -307,7 +295,8 @@ int cmdServe(int argc, char** argv) {
     const std::size_t colon = listen.rfind(':');
     if (colon == std::string::npos) return usage();
     netOpt.host = listen.substr(0, colon);
-    const auto port = wholeNumber(listen.substr(colon + 1), 0, 65535);
+    const auto port =
+        util::wholeNumber<long long>(listen.substr(colon + 1), 0, 65535);
     if (netOpt.host.empty() || !port) return usage();
     netOpt.port = static_cast<std::uint16_t>(*port);
     return serve::net::serveForever(netOpt);
