@@ -1,15 +1,26 @@
-// Stress-instance reproduction of the Table 2 *ordering*: the regenerated
-// Table 1 designs are routable enough that every variant saturates, so
-// this harness packs many length-matching clusters into congested dies
-// (chip::stressParams) and aggregates matched-cluster counts over seeds --
-// the paper's qualitative claims (candidate selection raises the matched
-// count; detour-first can save wirelength but costs matches) must show in
-// the aggregate. Also isolates the Sec. 5 claim that the min-cost-flow
-// escape beats greedy sequential escape on routability and length.
+// Quality table and stress reproduction of the Table 2 *ordering*. Every
+// design family is routed under the three variants and summed per family
+// and variant (completed routes, matched clusters, total channel length):
+//   * Table 1, chip::stressParams 1-40 and chip::randomParams 1-120 -- 501
+//     routes. The Table 1 designs are routable enough that every variant
+//     saturates, so the stress family packs many length-matching clusters
+//     into congested dies; the paper's qualitative claims (candidate
+//     selection raises the matched count; detour-first can save
+//     wirelength but costs matches) must show in its sums.
+//   * four obstacle-sprinkled FPVA valve-array families, seeds 1-8 (the
+//     FPVA setting of Liu et al., arXiv 1705.04996), where the escape
+//     stage's de-clustering rounds decide completion.
+// `bench_stress --benchmark_filter=NONE` prints the tables without timing
+// anything. Also isolates the Sec. 5 claim that the min-cost-flow escape
+// beats greedy sequential escape on routability and length.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <functional>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include "chip/generator.hpp"
 #include "pacor/escape.hpp"
@@ -20,33 +31,64 @@ namespace {
 using pacor::core::PacorResult;
 
 void printStressComparison() {
-  std::printf("\n=== Stress suite: variant ordering over 8 seeds ===\n");
-  std::printf("%-10s %8s %8s %8s   %10s %10s %10s\n", "Instance", "w/oSel", "DetF",
-              "PACOR", "len(w/o)", "len(DetF)", "len(PACOR)");
-  int sumWo = 0, sumDf = 0, sumPa = 0;
-  long long lenWo = 0, lenDf = 0, lenPa = 0;
-  for (std::uint32_t seed = 1; seed <= 8; ++seed) {
-    const auto chip = pacor::chip::generateChip(pacor::chip::stressParams(seed));
-    const auto wo = routeChip(chip, pacor::core::withoutSelectionConfig());
-    const auto df = routeChip(chip, pacor::core::detourFirstConfig());
-    const auto pa = routeChip(chip, pacor::core::pacorDefaultConfig());
-    std::printf("%-10s %5d/%-2d %5d/%-2d %5d/%-2d   %10lld %10lld %10lld%s\n",
-                chip.name.c_str(), wo.matchedClusterCount, wo.multiValveClusterCount,
-                df.matchedClusterCount, df.multiValveClusterCount,
-                pa.matchedClusterCount, pa.multiValveClusterCount,
-                static_cast<long long>(wo.totalChannelLength),
-                static_cast<long long>(df.totalChannelLength),
-                static_cast<long long>(pa.totalChannelLength),
-                (wo.complete && df.complete && pa.complete) ? "" : "  INCOMPLETE");
-    sumWo += wo.matchedClusterCount;
-    sumDf += df.matchedClusterCount;
-    sumPa += pa.matchedClusterCount;
-    lenWo += wo.totalChannelLength;
-    lenDf += df.totalChannelLength;
-    lenPa += pa.totalChannelLength;
+  using pacor::chip::Chip;
+  struct Family {
+    std::string name;
+    std::uint32_t size;
+    std::function<Chip(std::uint32_t)> design;  ///< 1-based index -> chip
+  };
+  const auto fpva = [](std::string spec) {
+    return Family{spec, 8, [spec](std::uint32_t seed) {
+                    return pacor::chip::generateFpvaChip(pacor::chip::parseFpvaSpec(
+                        spec + ":seed=" + std::to_string(seed)));
+                  }};
+  };
+  const std::vector<pacor::chip::GeneratorParams> table1 = pacor::chip::table1Designs();
+  const std::vector<Family> families = {
+      {"table1", static_cast<std::uint32_t>(table1.size()),
+       [&table1](std::uint32_t i) { return pacor::chip::generateChip(table1[i - 1]); }},
+      {"stress", 40,
+       [](std::uint32_t seed) {
+         return pacor::chip::generateChip(pacor::chip::stressParams(seed));
+       }},
+      {"random", 120,
+       [](std::uint32_t seed) {
+         return pacor::chip::generateChip(pacor::chip::randomParams(seed));
+       }},
+      fpva("fpva:24x24:obs=30"),
+      fpva("fpva:16x16:obs=80:lm=80"),
+      fpva("fpva:32x32:obs=40"),
+      fpva("fpva:24x24:obs=60"),
+  };
+  const struct {
+    const char* name;
+    pacor::core::PacorConfig config;
+  } variants[] = {{"PACOR", pacor::core::pacorDefaultConfig()},
+                  {"w/oSel", pacor::core::withoutSelectionConfig()},
+                  {"DetF", pacor::core::detourFirstConfig()}};
+
+  std::printf("\n=== Quality sums per design family and variant ===\n");
+  std::printf("%-24s %-7s %9s %8s %10s\n", "family", "variant", "complete", "matched",
+              "length");
+  for (const Family& family : families) {
+    struct Sums {
+      int complete = 0;
+      int matched = 0;
+      long long length = 0;
+    } sums[std::size(variants)];
+    for (std::uint32_t i = 1; i <= family.size; ++i) {
+      const Chip chip = family.design(i);
+      for (std::size_t v = 0; v < std::size(variants); ++v) {
+        const PacorResult r = routeChip(chip, variants[v].config);
+        sums[v].complete += r.complete ? 1 : 0;
+        sums[v].matched += r.matchedClusterCount;
+        sums[v].length += r.totalChannelLength;
+      }
+    }
+    for (std::size_t v = 0; v < std::size(variants); ++v)
+      std::printf("%-24s %-7s %5d/%-3u %8d %10lld\n", family.name.c_str(), variants[v].name,
+                  sums[v].complete, family.size, sums[v].matched, sums[v].length);
   }
-  std::printf("%-10s %8d %8d %8d   %10lld %10lld %10lld\n", "TOTAL", sumWo, sumDf,
-              sumPa, lenWo, lenDf, lenPa);
   std::printf("\n");
 }
 

@@ -124,7 +124,6 @@ void commitStructure(const chip::Chip& chip, WorkCluster& wc, const CandidatePla
     route::Path& whole = paths[0];
     const std::size_t mid = (whole.size() - 1) / 2;
     wc.tap = whole[mid];
-    wc.rootTap = wc.tap;
     route::Path arm0(whole.begin(), whole.begin() + static_cast<std::ptrdiff_t>(mid) + 1);
     route::Path arm1(whole.begin() + static_cast<std::ptrdiff_t>(mid), whole.end());
     // Arms are stored leaf-to-tap so front() is the valve.
@@ -144,7 +143,6 @@ void commitStructure(const chip::Chip& chip, WorkCluster& wc, const CandidatePla
   const dme::DmeCandidate& tree = *plan.tree;
   wc.treePaths = std::move(paths);
   wc.tap = tree.embed[static_cast<std::size_t>(tree.topo.root)];
-  wc.rootTap = wc.tap;
   wc.tapCells = {wc.tap};
 
   // Map child topology node -> tree path index (each non-root node has

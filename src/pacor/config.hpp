@@ -15,8 +15,8 @@ enum class DetourStage {
 /// lives as a constant in the stage that uses it: the candidate count and
 /// legalization radius (dme::buildCandidateTrees), the exact-selection
 /// limit (cluster_routing.cpp), Alg. 1's bg/alpha/gamma
-/// (route::NegotiationConfig's defaults), and the escape-round and
-/// matching-retry counts of the Fig. 2 loop (pipeline.cpp).
+/// (route::NegotiationConfig's defaults), and the escape-round count of
+/// the Fig. 2 loop (pipeline.cpp).
 struct PacorConfig {
   /// Weight of the length-mismatch cost versus the overlap cost in the
   /// selection objective (Eqs. 2-3); the paper uses 0.1, prioritizing

@@ -262,7 +262,6 @@ PacorResult rerouteChip(const chip::Chip& base, const PacorResult& prev,
       wc.escapePath = rc.escapePath;
       wc.pin = rc.pin;
       wc.tap = rc.tap;
-      wc.rootTap = rc.tap;
       wc.tapCells = {rc.tap};
       wc.lengthMatched = rc.lengthMatched;
       wc.ecoFrozen = true;

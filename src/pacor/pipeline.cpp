@@ -25,12 +25,6 @@ using Clock = std::chrono::steady_clock;
 /// De-clustering / rip-up rounds of the escape stage (Fig. 2 loop).
 constexpr int kMaxEscapeRounds = 5;
 
-/// Matching-driven rip-up passes: when a constrained cluster routes but
-/// cannot be equalized (its escape anchored at a leaf because a plain
-/// tree walls it in), relax the nearest plain blocker and redo the escape
-/// + detour stages this many times.
-constexpr int kMatchingRetries = 1;
-
 double seconds(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
@@ -56,7 +50,7 @@ void ripAllEscapes(grid::ObstacleMap& obstacles, std::vector<WorkCluster>& clust
 std::size_t nearestRelaxable(const chip::Chip& chip,
                              const std::vector<WorkCluster>& clusters,
                              const std::vector<char>& relax, std::size_t self,
-                             geom::Point cell, bool plainOnly) {
+                             geom::Point cell) {
   const auto nearestWhere = [&](bool wantPlain) {
     std::size_t nearest = clusters.size();
     std::int64_t nearestDist = std::numeric_limits<std::int64_t>::max();
@@ -76,8 +70,7 @@ std::size_t nearestRelaxable(const chip::Chip& chip,
     return nearest;
   };
   std::size_t nearest = nearestWhere(/*wantPlain=*/true);
-  if (nearest == clusters.size() && !plainOnly)
-    nearest = nearestWhere(/*wantPlain=*/false);
+  if (nearest == clusters.size()) nearest = nearestWhere(/*wantPlain=*/false);
   return nearest;
 }
 
@@ -211,13 +204,13 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   }
 
   // --- Stage 4: escape routing with de-clustering / rip-up rounds --------
-  // One escape-flow session serves every round of both the rip-up loop and
-  // the matching-retry re-escapes; created lazily at the first flow pass so
-  // it snapshots the post-routing obstacle state. A caller-held slot
-  // (serve mode) keeps the session alive across requests: the first flow
-  // pass warm-rebinds it to this request's obstacle map -- or rebuilds it
-  // when pin/grid edits made it incompatible -- and stats are diffed so
-  // the metrics stay request-scoped.
+  // One escape-flow session serves every round of the rip-up loop; created
+  // lazily at the first flow pass so it snapshots the post-routing
+  // obstacle state. A caller-held slot (serve mode) keeps the session
+  // alive across requests: the first flow pass warm-rebinds it to this
+  // request's obstacle map -- or rebuilds it when pin/grid edits made it
+  // incompatible -- and stats are diffed so the metrics stay
+  // request-scoped.
   std::unique_ptr<EscapeFlowSession> ownedEscapeSession;
   std::unique_ptr<EscapeFlowSession>& escapeSessionSlot =
       resources.escapeSession != nullptr ? *resources.escapeSession
@@ -230,7 +223,7 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   std::int64_t escapeFlowCost = 0;
   std::int64_t escapeFirstCost = -1;   // first pass with pending demand
   std::int64_t escapeFirstRouted = -1;
-  // Escape rip-up remedy decisions across all rounds (incl. retries).
+  // Escape rip-up remedy decisions across all rounds.
   int escapeWideTapRemedies = 0;  // matched trees given a wide tap
   int escapeDemotions = 0;        // matched trees demoted to plain
   int escapeSplits = 0;           // plain trees force-split in half
@@ -271,121 +264,94 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
     }
     return outcome;
   };
-  const auto runEscapeLoop = [&] {
-    for (int round = 0; round < kMaxEscapeRounds; ++round) {
-      util::checkDeadline();
-      trace::Span roundSpan("escape.round", "escape", trace::Level::kCluster);
-      roundSpan.arg("round", round);
-      ++result.escapeRounds;
-      std::vector<WorkCluster*> ptrs;
-      ptrs.reserve(clusters.size());
-      for (WorkCluster& wc : clusters) ptrs.push_back(&wc);
-      const EscapeOutcome outcome = escapePass(ptrs);
-      roundSpan.arg("failed", static_cast<std::int64_t>(outcome.failed.size()));
-      if (outcome.failed.empty()) break;
-      if (round + 1 >= kMaxEscapeRounds) break;
-
-      // Decide the remedies BEFORE touching any routing: a walled-in
-      // matched tree first gets a wide tap (matching is restored by the
-      // final detour stage), then demotion as a last resort; plain trees
-      // are split in half; a stuck singleton causes its nearest
-      // multi-valve neighbor -- the likeliest wall around it -- to be
-      // relaxed instead, plain neighbors before matched ones (the paper's
-      // higher rip-up cost for constrained clusters).
-      // relax[] values: 1 = split/demote, 2 = widen the escape tap.
-      std::vector<char> relax(clusters.size(), 0);
-      for (const std::size_t f : outcome.failed) {
-        if (clusters[f].spec.valves.size() >= 2) {
-          if (clusters[f].lmStructured && !clusters[f].wideTap)
-            relax[f] = 2;
-          else
-            relax[f] = 1;
-          continue;
-        }
-        const geom::Point cell = chip.valve(clusters[f].spec.valves.front()).pos;
-        const std::size_t nearest =
-            nearestRelaxable(chip, clusters, relax, f, cell, /*plainOnly=*/false);
-        if (nearest < clusters.size()) relax[nearest] = 1;
-      }
-      if (std::none_of(relax.begin(), relax.end(), [](char c) { return c != 0; }))
-        break;  // nothing left to relax: keep the escapes already routed
-
-      ripAllEscapes(obstacles, clusters);
-
-      std::vector<WorkCluster> next;
-      next.reserve(clusters.size());
-      for (std::size_t i = 0; i < clusters.size(); ++i) {
-        WorkCluster& wc = clusters[i];
-        if (!relax[i]) {
-          next.push_back(std::move(wc));
-          continue;
-        }
-        if (relax[i] == 2) {
-          // Widen: every tree cell becomes a legal escape attachment; the
-          // root-distance bias in escapeRoute deprioritizes leaf
-          // attachments but keeps them available as the last way out of a
-          // walled-in region.
-          std::unordered_set<geom::Point> cells;
-          for (const route::Path& p : wc.treePaths) cells.insert(p.begin(), p.end());
-          wc.tapCells.assign(cells.begin(), cells.end());
-          std::sort(wc.tapCells.begin(), wc.tapCells.end());
-          wc.wideTap = true;
-          ++escapeWideTapRemedies;
-          next.push_back(std::move(wc));
-          continue;
-        }
-        if (wc.lmStructured) {
-          // Demote: drop the matching structure, reroute as a plain tree.
-          obstacles.release(wc.net);
-          for (const chip::ValveId v : wc.spec.valves) {
-            const geom::Point cell = chip.valve(v).pos;
-            obstacles.occupy(std::span<const geom::Point>(&cell, 1), wc.net);
-          }
-          wc.lmStructured = false;
-          wc.wasDemoted = true;
-          wc.internallyRouted = false;
-          wc.treePaths.clear();
-          wc.sinkSequences.clear();
-          ++result.declusteredCount;
-          ++escapeDemotions;
-          auto parts = routeWithDeclustering(chip, obstacles, std::move(wc),
-                                             allocateNet, &result.declusteredCount);
-          for (auto& p : parts) next.push_back(std::move(p));
-        } else {
-          ++escapeSplits;
-          auto parts = splitCluster(chip, obstacles, std::move(wc), allocateNet,
-                                    &result.declusteredCount);
-          for (auto& p : parts) next.push_back(std::move(p));
-        }
-      }
-      clusters = std::move(next);
-    }
-  };
-
-  // --- Stage 5: final path detouring for length matching ------------------
-  const auto runFinalDetour = [&] {
-    for (WorkCluster& wc : clusters) {
-      if (!wc.lmStructured || wc.pin < 0 || wc.ecoFrozen) continue;
-      // The escape may have attached away from the structure's root (wide
-      // taps): re-derive which segments lie on each sink's pin path.
-      if (!wc.escapePath.empty() && wc.escapePath.front() != wc.tap)
-        rebuildDetourStructure(chip, wc);
-      const geom::Point origin = chip.pin(wc.pin).pos;
-      if (config.detourStage == DetourStage::kFinal) {
-        detourClusterForMatching(chip, obstacles, wc, origin, chip.delta,
-                                 config.detourIterations, &detourStats,
-                                 config.useBoundedDetour);
-      } else {
-        // Detour-first: verify that tap-side matching survived escape.
-        const auto lengths = measureValveLengths(chip, wc, origin);
-        const auto [lo, hi] = std::minmax_element(lengths.begin(), lengths.end());
-        wc.lengthMatched = !lengths.empty() && *lo >= 0 && (*hi - *lo) <= chip.delta;
-      }
-    }
-  };
-
   trace::Span spanEscape("stage.escape", "pipeline");
-  runEscapeLoop();
+  for (int round = 0; round < kMaxEscapeRounds; ++round) {
+    util::checkDeadline();
+    trace::Span roundSpan("escape.round", "escape", trace::Level::kCluster);
+    roundSpan.arg("round", round);
+    ++result.escapeRounds;
+    std::vector<WorkCluster*> ptrs;
+    ptrs.reserve(clusters.size());
+    for (WorkCluster& wc : clusters) ptrs.push_back(&wc);
+    const EscapeOutcome outcome = escapePass(ptrs);
+    roundSpan.arg("failed", static_cast<std::int64_t>(outcome.failed.size()));
+    if (outcome.failed.empty()) break;
+    if (round + 1 >= kMaxEscapeRounds) break;
+
+    // Decide the remedies BEFORE touching any routing: a walled-in
+    // matched tree first gets a wide tap (matching is restored by the
+    // final detour stage), then demotion as a last resort; plain trees
+    // are split in half; a stuck singleton causes its nearest
+    // multi-valve neighbor -- the likeliest wall around it -- to be
+    // relaxed instead, plain neighbors before matched ones (the paper's
+    // higher rip-up cost for constrained clusters).
+    // relax[] values: 1 = split/demote, 2 = widen the escape tap.
+    std::vector<char> relax(clusters.size(), 0);
+    for (const std::size_t f : outcome.failed) {
+      if (clusters[f].spec.valves.size() >= 2) {
+        if (clusters[f].lmStructured && !clusters[f].wideTap)
+          relax[f] = 2;
+        else
+          relax[f] = 1;
+        continue;
+      }
+      const geom::Point cell = chip.valve(clusters[f].spec.valves.front()).pos;
+      const std::size_t nearest = nearestRelaxable(chip, clusters, relax, f, cell);
+      if (nearest < clusters.size()) relax[nearest] = 1;
+    }
+    if (std::none_of(relax.begin(), relax.end(), [](char c) { return c != 0; }))
+      break;  // nothing left to relax: keep the escapes already routed
+
+    ripAllEscapes(obstacles, clusters);
+
+    std::vector<WorkCluster> next;
+    next.reserve(clusters.size());
+    for (std::size_t i = 0; i < clusters.size(); ++i) {
+      WorkCluster& wc = clusters[i];
+      if (!relax[i]) {
+        next.push_back(std::move(wc));
+        continue;
+      }
+      if (relax[i] == 2) {
+        // Widen: every tree cell becomes a legal escape attachment; the
+        // root-distance bias in escapeRoute deprioritizes leaf
+        // attachments but keeps them available as the last way out of a
+        // walled-in region.
+        std::unordered_set<geom::Point> cells;
+        for (const route::Path& p : wc.treePaths) cells.insert(p.begin(), p.end());
+        wc.tapCells.assign(cells.begin(), cells.end());
+        std::sort(wc.tapCells.begin(), wc.tapCells.end());
+        wc.wideTap = true;
+        ++escapeWideTapRemedies;
+        next.push_back(std::move(wc));
+        continue;
+      }
+      if (wc.lmStructured) {
+        // Demote: drop the matching structure, reroute as a plain tree.
+        obstacles.release(wc.net);
+        for (const chip::ValveId v : wc.spec.valves) {
+          const geom::Point cell = chip.valve(v).pos;
+          obstacles.occupy(std::span<const geom::Point>(&cell, 1), wc.net);
+        }
+        wc.lmStructured = false;
+        wc.wasDemoted = true;
+        wc.internallyRouted = false;
+        wc.treePaths.clear();
+        wc.sinkSequences.clear();
+        ++result.declusteredCount;
+        ++escapeDemotions;
+        auto parts = routeWithDeclustering(chip, obstacles, std::move(wc),
+                                           allocateNet, &result.declusteredCount);
+        for (auto& p : parts) next.push_back(std::move(p));
+      } else {
+        ++escapeSplits;
+        auto parts = splitCluster(chip, obstacles, std::move(wc), allocateNet,
+                                  &result.declusteredCount);
+        for (auto& p : parts) next.push_back(std::move(p));
+      }
+    }
+    clusters = std::move(next);
+  }
   spanEscape.arg("rounds", result.escapeRounds);
   spanEscape.close();
   const auto tEscapeEnd = Clock::now();
@@ -399,62 +365,25 @@ PacorResult routeChipImpl(const chip::Chip& chip, const PacorConfig& config,
   result.searchEscape.expansions += escapeCounters.settles;
   result.searchEscape.boundedVisits += escapeCounters.augmentations;
 
+  // --- Stage 5: final path detouring for length matching ------------------
   trace::Span spanDetour("stage.detour", "pipeline");
-  runFinalDetour();
-
-  // --- Matching-driven rip-up: a constrained cluster that routed but could
-  // not be equalized (typically a wide tap anchored at a leaf because a
-  // plain tree walls it in) gets one more chance: relax the nearest plain
-  // blocker, re-run the escape flow from scratch, and detour again.
-  for (int retry = 0; retry < kMatchingRetries; ++retry) {
-    util::checkDeadline();
-    if (config.detourStage != DetourStage::kFinal) break;
-    std::vector<std::size_t> hopeless;
-    for (std::size_t i = 0; i < clusters.size(); ++i) {
-      const WorkCluster& wc = clusters[i];
-      if (wc.lmStructured && wc.pin >= 0 && wc.wantsMatching() &&
-          !wc.lengthMatched && !wc.ecoFrozen)
-        hopeless.push_back(i);
+  for (WorkCluster& wc : clusters) {
+    if (!wc.lmStructured || wc.pin < 0 || wc.ecoFrozen) continue;
+    // The escape may have attached away from the structure's root (wide
+    // taps): re-derive which segments lie on each sink's pin path.
+    if (!wc.escapePath.empty() && wc.escapePath.front() != wc.tap)
+      rebuildDetourStructure(chip, wc);
+    const geom::Point origin = chip.pin(wc.pin).pos;
+    if (config.detourStage == DetourStage::kFinal) {
+      detourClusterForMatching(chip, obstacles, wc, origin, chip.delta,
+                               config.detourIterations, &detourStats,
+                               config.useBoundedDetour);
+    } else {
+      // Detour-first: verify that tap-side matching survived escape.
+      const auto lengths = measureValveLengths(chip, wc, origin);
+      const auto [lo, hi] = std::minmax_element(lengths.begin(), lengths.end());
+      wc.lengthMatched = !lengths.empty() && *lo >= 0 && (*hi - *lo) <= chip.delta;
     }
-    if (hopeless.empty()) break;
-
-    std::vector<char> relax(clusters.size(), 0);
-    bool anyBlocker = false;
-    for (const std::size_t h : hopeless) {
-      const std::size_t blocker = nearestRelaxable(chip, clusters, relax, h,
-                                                   clusters[h].tap, /*plainOnly=*/true);
-      if (blocker < clusters.size()) {
-        relax[blocker] = 1;
-        anyBlocker = true;
-      }
-    }
-    if (!anyBlocker) break;
-
-    ripAllEscapes(obstacles, clusters);
-    std::vector<WorkCluster> next;
-    next.reserve(clusters.size());
-    for (std::size_t i = 0; i < clusters.size(); ++i) {
-      WorkCluster& wc = clusters[i];
-      if (relax[i]) {
-        ++escapeSplits;
-        auto parts = splitCluster(chip, obstacles, std::move(wc), allocateNet,
-                                  &result.declusteredCount);
-        for (auto& p : parts) next.push_back(std::move(p));
-        continue;
-      }
-      if (wc.lmStructured && wc.wantsMatching() && !wc.lengthMatched &&
-          !wc.ecoFrozen) {
-        // Give the original DME root another chance now that space opened.
-        wc.wideTap = false;
-        wc.tap = wc.rootTap;
-        wc.tapCells = {wc.rootTap};
-      }
-      next.push_back(std::move(wc));
-    }
-    clusters = std::move(next);
-
-    runEscapeLoop();
-    runFinalDetour();
   }
   spanDetour.arg("reroutes", detourStats.reroutes);
   spanDetour.arg("restores", detourStats.restores);

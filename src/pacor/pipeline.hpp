@@ -68,10 +68,10 @@ grid::ObstacleMap makeRoutingObstacleTemplate(const chip::Chip& chip);
 /// Deadline: under a util::DeadlineScope on the calling thread, the call
 /// throws util::DeadlineExceeded soon after the deadline instead of
 /// returning a result. It polls on entry and at unit boundaries (each flow
-/// pass, negotiation iteration, detour, escape or matching round,
-/// candidate or MST cluster, and overlap-matrix row), so it stops within
-/// about one such unit of the deadline. Output of a call that finishes is
-/// byte-identical with or without a scope. rerouteChip polls the same way.
+/// pass, negotiation iteration, detour, escape round, candidate or MST
+/// cluster, and overlap-matrix row), so it stops within about one such
+/// unit of the deadline. Output of a call that finishes is byte-identical
+/// with or without a scope. rerouteChip polls the same way.
 PacorResult routeChip(const chip::Chip& chip, const PacorConfig& config = {},
                       const RouteResources& resources = {});
 

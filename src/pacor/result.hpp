@@ -67,8 +67,7 @@ struct PacorResult {
   /// Search-kernel effort per stage (A* invocations / settled expansions /
   /// bounded-DFS visits), measured as differences of the routing thread's
   /// workspace counters around each stage. The escape figure covers the
-  /// rip-up rounds' re-routing; the detour figure includes the
-  /// matching-driven retry passes.
+  /// rip-up rounds' re-routing.
   route::SearchCounters searchClusterRouting;
   route::SearchCounters searchEscape;
   route::SearchCounters searchDetour;

@@ -24,9 +24,8 @@ struct WorkCluster {
   /// two-valve matched pairs, the valve itself for singletons. Plain
   /// multi-valve clusters may escape from any tree cell (tapCells).
   /// `tap` tracks the current structure root (rebuilt after wide-tap
-  /// escapes); `rootTap` keeps the original DME root for retries.
+  /// escapes).
   Point tap;
-  Point rootTap;
   std::vector<Point> tapCells;
 
   /// Length-matching structure: per valve (same order as spec.valves) the

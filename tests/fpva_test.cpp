@@ -77,13 +77,23 @@ TEST(FpvaRouting, EightByEightRoutesOracleClean) {
 }
 
 TEST(FpvaRouting, DenseArrayRoutesOracleClean) {
-  // 12x10 with obstacles and every block length-matched: the dense mix.
-  const auto c =
-      chip::generateFpvaChip(chip::parseFpvaSpec("fpva:12x10:obs=30:lm=100"));
-  const auto result = core::routeChip(c);
-  EXPECT_TRUE(result.complete);
-  const auto report = verify::verifySolution(c, result);
-  EXPECT_TRUE(report.clean()) << report.str();
+  // 12x10 with obstacles and every block length-matched: the dense mix;
+  // a wide tap frees what its first escape pass leaves behind. 24x24 with
+  // obstacles: the first escape pass routes all 144 clusters, so the route
+  // ends there, complete (no later pass may split a routed cluster).
+  const struct {
+    const char* spec;
+    int escapeRounds;
+  } cases[] = {{"fpva:12x10:obs=30:lm=100", 2}, {"fpva:24x24:obs=30:seed=1", 1}};
+  for (const auto& [spec, escapeRounds] : cases) {
+    SCOPED_TRACE(spec);
+    const auto c = chip::generateFpvaChip(chip::parseFpvaSpec(spec));
+    const auto result = core::routeChip(c);
+    EXPECT_TRUE(result.complete);
+    EXPECT_EQ(result.escapeRounds, escapeRounds);
+    const auto report = verify::verifySolution(c, result);
+    EXPECT_TRUE(report.clean()) << report.str();
+  }
 }
 
 TEST(FpvaSpec, ParsesBareAndPrefixedForms) {

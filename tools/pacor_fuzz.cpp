@@ -7,6 +7,13 @@
 //
 //   (a) the independent oracle (src/verify) accepts every produced
 //       solution of a run that claims completion,
+//   (b) a design whose first escape pass routes every cluster ends
+//       complete: stages 1-3 (and the detour-first pass when the variant
+//       runs it) are replayed with (d)'s helper and followed by one
+//       escapeRoute() pass, which must equal routeChip's own first pass
+//       (routed count and flow cost); when it fails no cluster, the
+//       routeChip result must be complete. Checked on every design and
+//       on (h)'s FPVA arrays,
 //   (c) the oracle and the router-side DRC agree on clean/dirty -- a
 //       disagreement is a bug in one of the two checkers,
 //   (d) the escape-flow session equals the from-scratch escapeRoute()
@@ -36,7 +43,7 @@
 //       be byte-equal to a cluster of the previous step's solution under
 //       the delta's valve renumbering,
 //   (h) FPVA valve arrays (every eighth seed) are oracle-clean when they
-//       claim completion,
+//       claim completion, and are held to (b),
 //   (i) serve protocol round trip: random valid request lines re-parse to
 //       the same canonical text (format(parse(x)) == x), and arbitrary
 //       byte soup never crashes parseRequestLine / parseResponseLine --
@@ -76,6 +83,7 @@
 #include "chip/io.hpp"
 #include "pacor/cluster_routing.hpp"
 #include "pacor/clustering.hpp"
+#include "pacor/detour.hpp"
 #include "pacor/drc.hpp"
 #include "pacor/eco.hpp"
 #include "pacor/escape.hpp"
@@ -132,6 +140,8 @@ struct Tally {
   std::uint32_t complete = 0;
   std::uint32_t failures = 0;
   std::uint64_t clusters = 0;
+  // Property (b): routes whose first escape pass failed no cluster.
+  std::uint32_t firstPassWhole = 0;
   // Property (d): warm escape-session rounds checked against escapeRoute().
   std::uint32_t warmEscapeRounds = 0;
   // Property (g) eco-step mode counts -- the summary proves the sweep
@@ -393,6 +403,35 @@ std::string escapeReplayFailure(const chip::Chip& chip, const core::PacorConfig&
   return "";
 }
 
+/// Property (b) verdict for `result`, the routeChip(chip, cfg) answer;
+/// empty == pass. `whole` receives whether the replayed first escape pass
+/// failed no cluster.
+std::string firstPassFailure(const chip::Chip& chip, const core::PacorConfig& cfg,
+                             const core::PacorResult& result, bool& whole) {
+  grid::ObstacleMap obstacles = core::makeRoutingObstacleTemplate(chip);
+  std::vector<core::WorkCluster> clusters = routeToEscape(chip, cfg, obstacles);
+  if (cfg.detourStage == core::DetourStage::kAfterClusterRouting)
+    for (core::WorkCluster& wc : clusters)
+      if (wc.lmStructured && wc.internallyRouted)
+        core::detourClusterForMatching(chip, obstacles, wc, wc.tap, chip.delta,
+                                       cfg.detourIterations, nullptr,
+                                       cfg.useBoundedDetour);
+  std::vector<core::WorkCluster*> ptrs = pointersTo(clusters);
+  const core::EscapeOutcome pass = core::escapeRoute(chip, obstacles, ptrs);
+  const std::int64_t firstRouted = result.metrics.getInt("escape.flow.first_routed", -1);
+  const std::int64_t firstCost = result.metrics.getInt("escape.flow.first_cost", -1);
+  if (pass.routedCount != firstRouted || pass.flowCost != firstCost)
+    return "the replayed first escape pass (routed " + std::to_string(pass.routedCount) +
+           ", cost " + std::to_string(pass.flowCost) + ") differs from routeChip's (routed " +
+           std::to_string(firstRouted) + ", cost " + std::to_string(firstCost) + ")";
+  whole = pass.failed.empty();
+  if (whole && !result.complete)
+    return "the first escape pass routes all " + std::to_string(clusters.size()) +
+           " clusters, but the route ends incomplete after " +
+           std::to_string(result.escapeRounds) + " escape rounds";
+  return "";
+}
+
 // --------------------------------------------------------------------------
 // Property (g): edit-sequence differential ECO fuzzing.
 
@@ -627,6 +666,15 @@ bool runDesign(const Options& opt, serve::Server& server, std::uint32_t seed,
     ok = false;
   }
 
+  // (b) a first escape pass that routes every cluster ends complete.
+  bool whole = false;
+  if (const std::string fail = firstPassFailure(chip, cfg, result, whole); !fail.empty()) {
+    std::cerr << "FAIL seed " << seed << ": " << fail << '\n';
+    dumpRepro(opt, seed, chip, result);
+    ok = false;
+  }
+  tally.firstPassWhole += whole ? 1 : 0;
+
   // (d) the escape-flow session replays equal to escapeRoute().
   int warmRounds = 0;
   if (const std::string fail = escapeReplayFailure(chip, cfg, seed, warmRounds);
@@ -717,9 +765,10 @@ bool runDesign(const Options& opt, serve::Server& server, std::uint32_t seed,
 
   // (h) FPVA valve arrays: every eighth seed also generates a randomized
   // N x M array chip (regular lattice, block clusters, boundary pin ring)
-  // and holds it to the core invariant: oracle-clean when complete. Keeps
-  // the generator's parameter space (ragged blocks, obstacle sprinkling,
-  // dense lm mixes) under the same harness as the Table-1-style instances.
+  // and holds it to the core invariant, oracle-clean when complete, and
+  // to (b). Keeps the generator's parameter space (ragged blocks, obstacle
+  // sprinkling, dense lm mixes) under the same harness as the
+  // Table-1-style instances.
   if (seed % 8 == 0) {
     const chip::Chip array = chip::generateFpvaChip(chip::randomFpvaParams(seed));
     const core::PacorResult arrayResult = core::routeChip(array, cfg);
@@ -733,6 +782,14 @@ bool runDesign(const Options& opt, serve::Server& server, std::uint32_t seed,
       dumpRepro(opt, seed, array, arrayResult);
       ok = false;
     }
+    bool arrayWhole = false;
+    if (const std::string fail = firstPassFailure(array, cfg, arrayResult, arrayWhole);
+        !fail.empty()) {
+      std::cerr << "FAIL seed " << seed << ": FPVA " << array.name << ": " << fail << '\n';
+      dumpRepro(opt, seed, array, arrayResult);
+      ok = false;
+    }
+    tally.firstPassWhole += arrayWhole ? 1 : 0;
   }
 
   // (i) protocol round trip + junk-tolerance. Round trip: a random valid
@@ -838,7 +895,8 @@ int main(int argc, char** argv) {
 
   std::cout << "pacor_fuzz: " << tally.designs << " designs (base seed " << opt.seed
             << "), " << tally.complete << " routed to completion, " << tally.clusters
-            << " clusters total, " << tally.warmEscapeRounds
+            << " clusters total, " << tally.firstPassWhole
+            << " whole first escape passes ended complete, " << tally.warmEscapeRounds
             << " warm escape rounds replayed, eco steps " << tally.ecoIdentity << " identity / "
             << tally.ecoIncremental << " incremental / " << tally.ecoFull
             << " full, " << tally.fpva << " fpva arrays, "
