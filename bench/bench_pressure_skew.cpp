@@ -6,31 +6,29 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
 #include "chip/generator.hpp"
 #include "pacor/pipeline.hpp"
+#include "sim/analysis.hpp"
 #include "sim/pressure.hpp"
 
 namespace {
 
 using pacor::geom::Point;
 
+/// Worst Elmore skew over the clusters that asked for length matching
+/// (only the matched ones when `matchedOnly`); unanalyzable clusters
+/// report -1 and never raise it.
 double worstClusterSkew(const pacor::chip::Chip& chip,
                         const pacor::core::PacorResult& result, bool matchedOnly) {
   double worst = 0.0;
-  for (const auto& c : result.clusters) {
-    if (!c.lengthMatchRequested || c.pin < 0) continue;
+  for (const pacor::sim::ClusterSkew& c : pacor::sim::analyzeSkew(chip, result).clusters) {
+    if (!c.lengthMatchRequested) continue;
     if (matchedOnly && !c.lengthMatched) continue;
-    std::vector<pacor::route::Path> paths = c.treePaths;
-    paths.push_back(c.escapePath);
-    std::vector<Point> valves;
-    for (const auto v : c.valves) valves.push_back(chip.valve(v).pos);
-    const auto tree =
-        pacor::sim::ChannelTree::build(chip.pin(c.pin).pos, paths, valves);
-    if (!tree) continue;
-    worst = std::max(worst, tree->skew(valves));
+    worst = std::max(worst, c.elmoreSkew);
   }
   return worst;
 }

@@ -22,15 +22,4 @@ bool ActivationSequence::compatibleWith(const ActivationSequence& other) const n
   return true;
 }
 
-ActivationSequence ActivationSequence::mergedWith(const ActivationSequence& other) const {
-  if (!compatibleWith(other))
-    throw std::invalid_argument("cannot merge incompatible activation sequences");
-  std::string merged = steps_;
-  for (std::size_t i = 0; i < merged.size(); ++i)
-    if (merged[i] == 'X') merged[i] = other.steps_[i];
-  ActivationSequence out;
-  out.steps_ = std::move(merged);
-  return out;
-}
-
 }  // namespace pacor::chip

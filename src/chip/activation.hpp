@@ -41,11 +41,6 @@ class ActivationSequence {
   /// length are incompatible by convention (they cannot share a pin).
   bool compatibleWith(const ActivationSequence& other) const noexcept;
 
-  /// Step-wise merge of two compatible sequences: don't-cares resolve to
-  /// the other side's concrete status. The merged sequence is what the
-  /// shared control pin actually drives.
-  ActivationSequence mergedWith(const ActivationSequence& other) const;
-
  private:
   std::string steps_;
 };

@@ -5,14 +5,6 @@
 
 namespace pacor::chip {
 
-graph::AdjacencyMatrix Chip::compatibilityGraph() const {
-  graph::AdjacencyMatrix g(valves.size());
-  for (std::size_t i = 0; i < valves.size(); ++i)
-    for (std::size_t j = i + 1; j < valves.size(); ++j)
-      if (valves[i].sequence.compatibleWith(valves[j].sequence)) g.addEdge(i, j);
-  return g;
-}
-
 grid::ObstacleMap Chip::makeObstacleMap() const {
   grid::ObstacleMap map(routingGrid);
   for (const Point p : obstacles) map.addObstacle(p);

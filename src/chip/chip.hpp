@@ -9,7 +9,6 @@
 #include "chip/design_rules.hpp"
 #include "geom/point.hpp"
 #include "geom/rect.hpp"
-#include "graph/adjacency.hpp"
 #include "grid/grid.hpp"
 #include "grid/obstacle_map.hpp"
 
@@ -57,9 +56,6 @@ struct Chip {
 
   const Valve& valve(ValveId id) const { return valves.at(static_cast<std::size_t>(id)); }
   const ControlPin& pin(PinId id) const { return pins.at(static_cast<std::size_t>(id)); }
-
-  /// Pairwise valve compatibility graph (edge = may share a pin).
-  graph::AdjacencyMatrix compatibilityGraph() const;
 
   /// Obstacle map seeded with the chip's blocked cells.
   grid::ObstacleMap makeObstacleMap() const;

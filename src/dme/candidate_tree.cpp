@@ -50,12 +50,6 @@ std::vector<std::vector<int>> DmeCandidate::sinkToRootPaths() const {
   return paths;
 }
 
-geom::Rect DmeCandidate::boundingBox() const {
-  geom::Rect box{{0, 0}, {-1, -1}};  // empty
-  for (const Point p : embed) box = box.unionWith(geom::Rect::fromPoint(p));
-  return box;
-}
-
 namespace {
 
 /// Real-lattice XY points (doubled coords both even) covered by a doubled

@@ -6,7 +6,6 @@
 
 #include "dme/merging.hpp"
 #include "dme/topology.hpp"
-#include "geom/rect.hpp"
 #include "grid/obstacle_map.hpp"
 
 namespace pacor::dme {
@@ -30,8 +29,6 @@ struct DmeCandidate {
   std::vector<std::pair<int, int>> edges() const;
   /// Per sink: node indices from the leaf up to the root (full path).
   std::vector<std::vector<int>> sinkToRootPaths() const;
-  /// Bounding box over all embedded nodes.
-  geom::Rect boundingBox() const;
 };
 
 struct CandidateOptions {

@@ -1,7 +1,6 @@
 #include "geom/tilted.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <ostream>
 
 namespace pacor::geom {
@@ -9,10 +8,6 @@ namespace pacor::geom {
 TiltedRect TiltedRect::intersectWith(const TiltedRect& o) const noexcept {
   return {{std::max(lo.x, o.lo.x), std::max(lo.y, o.lo.y)},
           {std::min(hi.x, o.hi.x), std::min(hi.y, o.hi.y)}};
-}
-
-std::int64_t TiltedRect::chebyshevTo(Point t) const noexcept {
-  return chebyshev(t, clampTilted(t));
 }
 
 std::int64_t chebyshevGap(const TiltedRect& a, const TiltedRect& b) noexcept {
@@ -24,58 +19,6 @@ std::int64_t chebyshevGap(const TiltedRect& a, const TiltedRect& b) noexcept {
   };
   return std::max(axisGap(a.lo.x, a.hi.x, b.lo.x, b.hi.x),
                   axisGap(a.lo.y, a.hi.y, b.lo.y, b.hi.y));
-}
-
-std::vector<Point> TiltedRect::latticePointsXY(std::size_t maxCount) const {
-  std::vector<Point> out;
-  if (empty() || maxCount == 0) return out;
-
-  // Count lattice points per u column: v in [lo.y, hi.y] with v == u (mod 2).
-  const auto columnCount = [&](std::int32_t u) -> std::int64_t {
-    std::int32_t vfirst = lo.y;
-    if (((vfirst - u) % 2 + 2) % 2 != 0) ++vfirst;
-    if (vfirst > hi.y) return 0;
-    return (static_cast<std::int64_t>(hi.y) - vfirst) / 2 + 1;
-  };
-
-  std::int64_t total = 0;
-  for (std::int32_t u = lo.x; u <= hi.x; ++u) total += columnCount(u);
-  if (total == 0) return out;
-
-  // Even-stride subsample across the linearized index space.
-  const std::int64_t want = std::min<std::int64_t>(total, static_cast<std::int64_t>(maxCount));
-  std::int64_t nextIdx = 0;
-  std::int64_t taken = 0;
-  std::int64_t seen = 0;
-  for (std::int32_t u = lo.x; u <= hi.x && taken < want; ++u) {
-    std::int32_t vfirst = lo.y;
-    if (((vfirst - u) % 2 + 2) % 2 != 0) ++vfirst;
-    for (std::int32_t v = vfirst; v <= hi.y && taken < want; v += 2, ++seen) {
-      if (seen < nextIdx) continue;
-      out.push_back(fromTilted({u, v}));
-      ++taken;
-      nextIdx = taken * (total - 1) / std::max<std::int64_t>(1, want - 1);
-      if (want == 1) nextIdx = total;  // single sample: take the first
-    }
-  }
-  return out;
-}
-
-Point TiltedRect::snapLatticeXY(Point t) const {
-  Point c = clampTilted(t);
-  if (!tiltedOnLattice(c)) {
-    // Shift one unit along the axis with slack; otherwise step outside by
-    // one (the caller absorbs the half-unit rounding per Lemma 1).
-    if (c.x < hi.x)
-      ++c.x;
-    else if (c.x > lo.x)
-      --c.x;
-    else if (c.y < hi.y)
-      ++c.y;
-    else
-      --c.y;
-  }
-  return fromTilted(c);
 }
 
 std::ostream& operator<<(std::ostream& os, const TiltedRect& r) {

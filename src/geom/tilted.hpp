@@ -1,8 +1,8 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <iosfwd>
-#include <vector>
 
 #include "geom/point.hpp"
 #include "geom/rect.hpp"
@@ -24,11 +24,6 @@ constexpr Point fromTilted(Point t) noexcept {
   return {(t.x - t.y) / 2, (t.x + t.y) / 2};
 }
 
-/// True when a tilted point is the image of an integer (x, y) point.
-constexpr bool tiltedOnLattice(Point t) noexcept {
-  return ((t.x + t.y) % 2 + 2) % 2 == 0;
-}
-
 /// Closed axis-aligned rectangle in tilted space. Under Chebyshev metric
 /// these are closed under Minkowski inflation and intersection, which is
 /// exactly what bottom-up DME merging needs: the merging region of two
@@ -48,7 +43,6 @@ struct TiltedRect {
   constexpr bool degenerate() const noexcept {
     return !empty() && (lo.x == hi.x || lo.y == hi.y);
   }
-  constexpr bool isPoint() const noexcept { return lo == hi; }
 
   constexpr TiltedRect inflated(std::int64_t r) const noexcept {
     const auto ri = static_cast<std::int32_t>(r);
@@ -60,30 +54,11 @@ struct TiltedRect {
   constexpr bool containsTilted(Point t) const noexcept {
     return t.x >= lo.x && t.x <= hi.x && t.y >= lo.y && t.y <= hi.y;
   }
-  bool containsXY(Point p) const noexcept { return containsTilted(toTilted(p)); }
-
-  /// Chebyshev distance from a tilted point to this rect (0 inside).
-  std::int64_t chebyshevTo(Point t) const noexcept;
-
-  /// Manhattan (original-space) distance from XY point p to the region.
-  std::int64_t manhattanToXY(Point p) const noexcept { return chebyshevTo(toTilted(p)); }
 
   /// Closest tilted point of the rect to tilted point t.
   constexpr Point clampTilted(Point t) const noexcept {
     return {std::clamp(t.x, lo.x, hi.x), std::clamp(t.y, lo.y, hi.y)};
   }
-
-  /// All lattice XY points covered by the region (u == v mod 2 filter),
-  /// capped at `maxCount` points sampled with an even stride so the result
-  /// spans the whole region. Used to enumerate candidate merging nodes.
-  std::vector<Point> latticePointsXY(std::size_t maxCount) const;
-
-  /// A lattice XY point of the region closest (Chebyshev in tilted space)
-  /// to tilted point t; by convention returns the clamped point adjusted
-  /// for parity. Precondition: region covers at least one lattice point or
-  /// is non-empty (a parity-adjusted neighbour just outside may be returned
-  /// for zero-thickness off-lattice arcs — callers absorb the 1-unit snap).
-  Point snapLatticeXY(Point t) const;
 };
 
 /// Chebyshev gap between two tilted rects: the minimum merging cost

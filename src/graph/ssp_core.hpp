@@ -59,9 +59,9 @@ namespace pacor::graph {
 /// packed 4-ary heap and drain strictly after every bucket (all bucket
 /// distances are smaller), so the settle sequence is *exactly* the
 /// lexicographic (distance, node) order of the pure-heap implementation,
-/// stale entries included: results stay bit-identical, and
-/// setBucketQueue(false) selects the pure heap for A/B tests and
-/// benchmarks.
+/// stale entries included: results stay bit-identical at any span, and a
+/// span of 0 sends every label to the heap (the pure heap, for A/B tests
+/// and benchmarks).
 ///
 /// Per-node search state is generation-stamped instead of refilled, so a
 /// pass costs O(queue work + path length), not O(nodes).
@@ -93,25 +93,24 @@ class SspCore {
   const Counters& counters() const noexcept { return counters_; }
   void resetCounters() noexcept { counters_ = {}; }
 
-  /// Selects the open list: Dial buckets (default) or the pure packed
-  /// heap. Both settle in the identical (distance, node) order; the knob
-  /// exists for differential tests and the solver microbenchmark.
-  void setBucketQueue(bool on) noexcept { useBucketQueue_ = on; }
-
-  /// Bounds of the Dial bucket span (distance labels below the span go to
-  /// buckets; at or above it, to the overflow heap). The floor keeps the
-  /// bucket path meaningful, the ceiling bounds the bucket array itself.
+  /// Dial bucket span bounds (distance labels below the span go to
+  /// buckets; at or above it, to the overflow heap). The ceiling bounds
+  /// the bucket array itself; the floor is recommendedBucketSpan's
+  /// smallest answer.
   static constexpr std::int64_t kMinBucketSpan = std::int64_t{1} << 6;
   static constexpr std::int64_t kMaxBucketSpan = std::int64_t{1} << 20;
   static constexpr std::int64_t kDefaultBucketSpan = std::int64_t{1} << 14;
 
-  /// Sets the Dial bucket span, clamped to [kMinBucketSpan,
-  /// kMaxBucketSpan]. Any span yields the identical settle order (labels
-  /// past the span overflow into the heap, which drains strictly after
-  /// every bucket); the knob trades bucket-array memory against how much
-  /// of the distance range enjoys O(1) pushes. Call between solves.
+  /// Sets the Dial bucket span, clamped to [0, kMaxBucketSpan]. Any span
+  /// yields the identical settle order (labels past the span overflow
+  /// into the heap, which drains strictly after every bucket); the knob
+  /// trades bucket-array memory against how much of the distance range
+  /// enjoys O(1) pushes. Span 0 is the pure packed heap: every label
+  /// overflows, so the buckets and the bitmap stay empty, for
+  /// differential tests and the solver microbenchmark. Call between
+  /// solves.
   void setBucketSpan(std::int64_t span) noexcept {
-    bucketSpan_ = std::max(kMinBucketSpan, std::min(span, kMaxBucketSpan));
+    bucketSpan_ = std::clamp(span, std::int64_t{0}, kMaxBucketSpan);
   }
   std::int64_t bucketSpan() const noexcept { return bucketSpan_; }
 
@@ -157,8 +156,8 @@ class SspCore {
   // lexicographic (distance, node) order of a pair heap -- distance ties
   // break toward the smaller node id -- and any correct priority queue
   // pops the comparator minimum, so the settle sequence is independent of
-  // heap arity and layout. In bucket mode the heap holds only the
-  // overflow (distance >= bucketSpan_), which drains after every bucket.
+  // heap arity and layout. The heap holds only the overflow (distance >=
+  // bucketSpan_; every label at span 0), which drains after every bucket.
   unsigned nodeBits_ = 1;
   std::vector<std::uint64_t> heap_;
   std::vector<std::int32_t> settled_;  ///< pop order, for the potential update
@@ -177,7 +176,6 @@ class SspCore {
   // vectors; usedBuckets_ lets a pass that ends on the sink cut clear
   // only what it touched.
   std::int64_t bucketSpan_ = kDefaultBucketSpan;
-  bool useBucketQueue_ = true;
   std::vector<std::vector<std::int32_t>> buckets_;
   std::vector<std::int32_t> usedBuckets_;
   std::int64_t activeDist_ = 0;  ///< distance held by the bitmap
@@ -273,16 +271,14 @@ SspCore::Result SspCore::solve(Network& net, std::size_t s, std::size_t t,
 
   // Lazy queue storage. Bucket array is distance-indexed (bucketSpan_
   // slots); the bitmap covers node ids and represents the ACTIVE bucket.
-  if (useBucketQueue_) {
-    if (buckets_.size() < static_cast<std::size_t>(bucketSpan_))
-      buckets_.resize(static_cast<std::size_t>(bucketSpan_));
-    const std::size_t words = (nodes_.size() + 63) / 64;
-    if (bmL0_.size() < words) {
-      bmL0_.assign(words, 0);
-      bmL1_.assign((words + 63) / 64, 0);
-      bmL2_.assign((bmL1_.size() + 63) / 64, 0);
-      bmCount_ = 0;
-    }
+  if (buckets_.size() < static_cast<std::size_t>(bucketSpan_))
+    buckets_.resize(static_cast<std::size_t>(bucketSpan_));
+  const std::size_t words = (nodes_.size() + 63) / 64;
+  if (bmL0_.size() < words) {
+    bmL0_.assign(words, 0);
+    bmL1_.assign((words + 63) / 64, 0);
+    bmL2_.assign((bmL1_.size() + 63) / 64, 0);
+    bmCount_ = 0;
   }
   const std::uint64_t nodeMask = (std::uint64_t{1} << nodeBits_) - 1;
 
@@ -302,7 +298,7 @@ SspCore::Result SspCore::solve(Network& net, std::size_t s, std::size_t t,
   // Same-dist pushes during settling (the zero-reduced-cost plateau the
   // sink cut exists for) are O(1) bit-sets instead of heap sift-ups.
   const auto queuePush = [&](std::int64_t nd, std::size_t v) {
-    if (useBucketQueue_ && nd < bucketSpan_) {
+    if (nd < bucketSpan_) {
       ++nBucketPushes;
       if (nd == activeDist_) {
         bmInsert(v);
@@ -319,28 +315,26 @@ SspCore::Result SspCore::solve(Network& net, std::size_t s, std::size_t t,
     }
   };
   const auto queuePop = [&](std::size_t& u, std::int64_t& d) -> bool {
-    if (useBucketQueue_) {
-      if (bmCount_ != 0) {
-        u = bmPopMin();
-        d = activeDist_;
-        ++nQueuePops;
-        return true;
-      }
-      // Advance the cursor to the next non-empty bucket and promote it to
-      // the bitmap. The scan segments are disjoint across a pass
-      // (activeDist_ only grows), so the total scan cost is O(bucketSpan_)
-      // per pass, dominated by the relaxation work.
-      while (activeDist_ < bucketHi_) {
-        ++activeDist_;
-        auto& bucket = buckets_[static_cast<std::size_t>(activeDist_)];
-        if (bucket.empty()) continue;
-        for (const std::int32_t x : bucket) bmInsert(static_cast<std::size_t>(x));
-        bucket.clear();
-        u = bmPopMin();
-        d = activeDist_;
-        ++nQueuePops;
-        return true;
-      }
+    if (bmCount_ != 0) {
+      u = bmPopMin();
+      d = activeDist_;
+      ++nQueuePops;
+      return true;
+    }
+    // Advance the cursor to the next non-empty bucket and promote it to
+    // the bitmap. The scan segments are disjoint across a pass
+    // (activeDist_ only grows), so the total scan cost is O(bucketSpan_)
+    // per pass, dominated by the relaxation work.
+    while (activeDist_ < bucketHi_) {
+      ++activeDist_;
+      auto& bucket = buckets_[static_cast<std::size_t>(activeDist_)];
+      if (bucket.empty()) continue;
+      for (const std::int32_t x : bucket) bmInsert(static_cast<std::size_t>(x));
+      bucket.clear();
+      u = bmPopMin();
+      d = activeDist_;
+      ++nQueuePops;
+      return true;
     }
     if (heap_.empty()) return false;
     const std::uint64_t top = heapPop(heap_);
@@ -377,15 +371,13 @@ SspCore::Result SspCore::solve(Network& net, std::size_t s, std::size_t t,
     const std::size_t dbWords = (nodes_.size() + 63) / 64;
     if (doneBits_.size() < dbWords) doneBits_.resize(dbWords);
     std::fill_n(doneBits_.begin(), dbWords, 0);
-    if (useBucketQueue_) {
-      // A sink cut can abandon queued entries; clearing touches only the
-      // buckets and bitmap words actually used last pass.
-      if (bmCount_ != 0) bmClearAll();
-      for (const std::int32_t b : usedBuckets_) buckets_[static_cast<std::size_t>(b)].clear();
-      usedBuckets_.clear();
-      activeDist_ = 0;
-      bucketHi_ = -1;
-    }
+    // A sink cut can abandon queued entries; clearing touches only the
+    // buckets and bitmap words actually used last pass.
+    if (bmCount_ != 0) bmClearAll();
+    for (const std::int32_t b : usedBuckets_) buckets_[static_cast<std::size_t>(b)].clear();
+    usedBuckets_.clear();
+    activeDist_ = 0;
+    bucketHi_ = -1;
     nodes_[s].dist = 0;
     nodes_[s].prevArc = -1;
     nodes_[s].distStamp = epoch_;

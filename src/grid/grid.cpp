@@ -2,13 +2,6 @@
 
 namespace pacor::grid {
 
-std::vector<Point> Grid::neighbors(Point p) const {
-  std::vector<Point> out;
-  out.reserve(4);
-  forNeighbors(p, [&](Point q) { out.push_back(q); });
-  return out;
-}
-
 std::vector<Point> Grid::boundaryCells() const {
   std::vector<Point> out;
   if (w_ <= 0 || h_ <= 0) return out;

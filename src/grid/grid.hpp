@@ -68,9 +68,6 @@ class Grid {
   static constexpr std::array<Point, 4> kNeighborOffsets{
       Point{1, 0}, Point{-1, 0}, Point{0, 1}, Point{0, -1}};
 
-  /// In-bounds 4-neighbors of p.
-  std::vector<Point> neighbors(Point p) const;
-
   /// Calls fn(Point) for each in-bounds 4-neighbor; avoids allocation on
   /// hot paths (A*, flow-graph construction).
   template <typename Fn>

@@ -5,13 +5,6 @@
 
 namespace pacor::grid {
 
-void ObstacleMap::blockRect(const geom::Rect& r) {
-  const geom::Rect clipped = r.intersectWith(grid_.bounds());
-  for (std::int32_t y = clipped.lo.y; y <= clipped.hi.y; ++y)
-    for (std::int32_t x = clipped.lo.x; x <= clipped.hi.x; ++x)
-      owner_[grid_.index({x, y})] = kObstacle;
-}
-
 void ObstacleMap::occupy(std::span<const Point> path, NetId net) {
   assert(net >= 0);
   for (const Point p : path) {

@@ -41,7 +41,6 @@ class ObstacleMap {
   }
 
   void addObstacle(Point p) { owner_[grid_.index(p)] = kObstacle; }
-  void blockRect(const geom::Rect& r);
 
   /// Marks every cell of `path` as owned by `net`. Cells already owned by
   /// the same net stay owned (tree trunks are shared); claiming a cell

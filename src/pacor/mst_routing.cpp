@@ -104,22 +104,26 @@ std::vector<WorkCluster> splitCluster(const chip::Chip& chip, grid::ObstacleMap&
   });
   const std::size_t half = sorted.size() / 2;
 
-  // Release the old net entirely; the halves re-own their valve cells.
+  // Release the old net entirely; both halves re-own their valve cells
+  // before either routes, so neither tree can run over the other's valves.
   obstacles.release(wc.net);
 
-  std::vector<WorkCluster> out;
+  const auto mid = sorted.begin() + static_cast<std::ptrdiff_t>(half);
+  WorkCluster halves[2];
   for (int part = 0; part < 2; ++part) {
-    WorkCluster sub;
+    WorkCluster& sub = halves[part];
     sub.spec.lengthMatched = false;
-    sub.spec.valves.assign(sorted.begin() + (part == 0 ? 0 : static_cast<std::ptrdiff_t>(half)),
-                           part == 0 ? sorted.begin() + static_cast<std::ptrdiff_t>(half)
-                                     : sorted.end());
+    sub.spec.valves.assign(part == 0 ? sorted.begin() : mid, part == 0 ? mid : sorted.end());
     sub.net = allocateNet();
     sub.wasDemoted = wc.wasDemoted;
     for (const chip::ValveId v : sub.spec.valves) {
       const Point cell = chip.valve(v).pos;
       obstacles.occupy(std::span<const Point>(&cell, 1), sub.net);
     }
+  }
+
+  std::vector<WorkCluster> out;
+  for (WorkCluster& sub : halves) {
     auto routedParts = routeWithDeclustering(chip, obstacles, std::move(sub), allocateNet,
                                              declusterCount);
     for (auto& p : routedParts) out.push_back(std::move(p));

@@ -21,10 +21,12 @@ bool routePlainCluster(const chip::Chip& chip, grid::ObstacleMap& obstacles,
 
 /// De-clustering (paper Fig. 2): releases a multi-valve cluster's net,
 /// median-splits its valves along the axis of larger spread into two
-/// plain halves with fresh nets from `allocateNet`, and routes each half
-/// with routeWithDeclustering. A cluster of fewer than two valves is
-/// returned unchanged and not counted. The escape rip-up rounds call it
-/// directly to break up a routed tree that walls in other escapes.
+/// plain halves with fresh nets from `allocateNet`, occupies both halves'
+/// valve cells, and only then routes each half with
+/// routeWithDeclustering, so no half's tree crosses the other's valves.
+/// A cluster of fewer than two valves is returned unchanged and not
+/// counted. The escape rip-up rounds call it directly to break up a
+/// routed tree that walls in other escapes.
 std::vector<WorkCluster> splitCluster(const chip::Chip& chip, grid::ObstacleMap& obstacles,
                                       WorkCluster wc,
                                       const std::function<grid::NetId()>& allocateNet,

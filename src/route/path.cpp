@@ -1,6 +1,5 @@
 #include "route/path.hpp"
 
-#include <algorithm>
 #include <unordered_set>
 
 namespace pacor::route {
@@ -17,11 +16,6 @@ bool isSimple(std::span<const Point> path) {
   for (const Point p : path)
     if (!seen.insert(p).second) return false;
   return true;
-}
-
-Path reversed(Path p) {
-  std::reverse(p.begin(), p.end());
-  return p;
 }
 
 }  // namespace pacor::route

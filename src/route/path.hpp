@@ -31,7 +31,4 @@ inline bool isValidChannel(std::span<const Point> path) {
   return isConnected(path) && isSimple(path);
 }
 
-/// Reverses p in place and returns it (for stitching search results).
-Path reversed(Path p);
-
 }  // namespace pacor::route

@@ -39,13 +39,6 @@ class MetricsRegistry {
     e.r = value;
   }
 
-  /// Adds to an integer metric, creating it at `delta` when absent.
-  void addInt(std::string_view name, std::int64_t delta) {
-    Entry& e = slot(name);
-    e.isReal = false;
-    e.i += delta;
-  }
-
   const Entry* find(std::string_view name) const noexcept {
     for (const Entry& e : entries_)
       if (e.name == name) return &e;

@@ -38,14 +38,6 @@ TEST(ActivationSequence, SequenceCompatibility) {
   EXPECT_TRUE(a.compatibleWith(a));
 }
 
-TEST(ActivationSequence, MergeResolvesDontCares) {
-  const ActivationSequence a("0X1X");
-  const ActivationSequence b("X01X");
-  const auto m = a.mergedWith(b);
-  EXPECT_EQ(m.str(), "001X");
-  EXPECT_THROW(a.mergedWith(ActivationSequence("1111")), std::invalid_argument);
-}
-
 TEST(DesignRules, GridPitchAndConversion) {
   DesignRules rules{10, 10};
   EXPECT_EQ(rules.gridPitchUm(), 20);
@@ -71,14 +63,6 @@ Chip tinyChip() {
 TEST(Chip, ValidInstancePasses) {
   const Chip chip = tinyChip();
   EXPECT_EQ(chip.validate(), std::nullopt);
-}
-
-TEST(Chip, CompatibilityGraph) {
-  const Chip chip = tinyChip();
-  const auto g = chip.compatibilityGraph();
-  EXPECT_TRUE(g.hasEdge(0, 1));
-  EXPECT_FALSE(g.hasEdge(0, 2));
-  EXPECT_FALSE(g.hasEdge(1, 2));
 }
 
 TEST(Chip, ValidationCatchesOutOfBoundsValve) {

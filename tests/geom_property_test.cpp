@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
 #include "geom/point.hpp"
 #include "geom/rect.hpp"
@@ -12,6 +13,16 @@ namespace {
 Point randomPoint(std::mt19937& rng, std::int32_t span = 100) {
   return {static_cast<std::int32_t>(rng() % static_cast<unsigned>(2 * span)) - span,
           static_cast<std::int32_t>(rng() % static_cast<unsigned>(2 * span)) - span};
+}
+
+/// Every XY lattice point a tilted region covers: its tilted points with
+/// u == v (mod 2), mapped back.
+std::vector<Point> latticePoints(const TiltedRect& r) {
+  std::vector<Point> out;
+  for (std::int32_t u = r.lo.x; u <= r.hi.x; ++u)
+    for (std::int32_t v = r.lo.y; v <= r.hi.y; ++v)
+      if ((u + v) % 2 == 0) out.push_back(fromTilted({u, v}));
+  return out;
 }
 
 class MetricProperty : public ::testing::TestWithParam<int> {};
@@ -37,7 +48,6 @@ TEST_P(MetricProperty, TiltedTransformIsIsometric) {
     const Point b = randomPoint(rng);
     EXPECT_EQ(manhattan(a, b), chebyshev(toTilted(a), toTilted(b)));
     EXPECT_EQ(fromTilted(toTilted(a)), a);
-    EXPECT_TRUE(tiltedOnLattice(toTilted(a)));
   }
 }
 
@@ -131,7 +141,7 @@ TEST_P(TiltedRectProperty, MergeRegionPointsAreFeasibleMeetingPoints) {
       continue;
     }
     ASSERT_FALSE(merge.empty());
-    for (const Point p : merge.latticePointsXY(32)) {
+    for (const Point p : latticePoints(merge)) {
       EXPECT_LE(manhattan(p, a), ea) << p.str();
       EXPECT_LE(manhattan(p, b), eb) << p.str();
     }
@@ -150,13 +160,13 @@ TEST_P(TiltedRectProperty, GapIsTheMinimumPairwiseDistance) {
     const std::int64_t gap = chebyshevGap(ta, tb);
     // Brute force: min over lattice points of both regions.
     std::int64_t brute = std::numeric_limits<std::int64_t>::max();
-    for (const Point p : ta.latticePointsXY(64))
-      for (const Point q : tb.latticePointsXY(64))
+    for (const Point p : latticePoints(ta))
+      for (const Point q : latticePoints(tb))
         brute = std::min(brute, manhattan(p, q));
     if (brute != std::numeric_limits<std::int64_t>::max()) {
       EXPECT_LE(gap, brute);
-      // The gap is attained by SOME pair of region points (maybe off our
-      // lattice sample when regions have off-lattice corners).
+      // The gap is attained by SOME pair of region points (maybe off the
+      // lattice when regions have off-lattice corners).
       EXPECT_GE(brute, gap);
       EXPECT_LE(brute - gap, 2);
     }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "geom/point.hpp"
 #include "geom/rect.hpp"
 #include "geom/tilted.hpp"
@@ -96,7 +98,7 @@ TEST(Tilted, RoundTrip) {
   for (std::int32_t x = -5; x <= 5; ++x)
     for (std::int32_t y = -5; y <= 5; ++y) {
       const Point t = toTilted({x, y});
-      EXPECT_TRUE(tiltedOnLattice(t));
+      EXPECT_EQ((t.x + t.y) % 2, 0);
       EXPECT_EQ(fromTilted(t), (Point{x, y}));
     }
 }
@@ -114,7 +116,7 @@ TEST(Tilted, BallMapsToSquare) {
   for (std::int32_t x = -4; x <= 4; ++x)
     for (std::int32_t y = -4; y <= 4; ++y) {
       const bool inBall = manhattan({0, 0}, {x, y}) <= 2;
-      EXPECT_EQ(square.containsXY({x, y}), inBall) << x << ',' << y;
+      EXPECT_EQ(square.containsTilted(toTilted({x, y})), inBall) << x << ',' << y;
     }
 }
 
@@ -132,50 +134,27 @@ TEST(TiltedRect, InflateIntersectIsMergeRegion) {
   const TiltedRect b = TiltedRect::fromXY({6, 0});
   const TiltedRect m = a.inflated(3).intersectWith(b.inflated(3));
   ASSERT_FALSE(m.empty());
-  for (const Point p : m.latticePointsXY(64)) {
+  std::vector<Point> lattice;  // tilted points with u == v (mod 2)
+  for (std::int32_t u = m.lo.x; u <= m.hi.x; ++u)
+    for (std::int32_t v = m.lo.y; v <= m.hi.y; ++v)
+      if ((u + v) % 2 == 0) lattice.push_back(fromTilted({u, v}));
+  for (const Point p : lattice) {
     EXPECT_LE(manhattan(p, {0, 0}), 3);
     EXPECT_LE(manhattan(p, {6, 0}), 3);
   }
+  EXPECT_EQ(lattice, (std::vector<Point>{{3, 0}}));  // a collinear pair meets once
 }
 
-TEST(TiltedRect, LatticePointsRespectParityFilter) {
-  const TiltedRect r{{0, 0}, {4, 4}};
-  const auto pts = r.latticePointsXY(1000);
-  ASSERT_FALSE(pts.empty());
-  for (const Point p : pts) {
-    const Point t = toTilted(p);
-    EXPECT_TRUE(r.containsTilted(t));
-  }
-}
-
-TEST(TiltedRect, LatticePointsCapRespected) {
-  const TiltedRect r{{0, 0}, {20, 20}};
-  EXPECT_LE(r.latticePointsXY(5).size(), 5u);
-  EXPECT_EQ(r.latticePointsXY(0).size(), 0u);
-}
-
-TEST(TiltedRect, ChebyshevToAndClamp) {
+TEST(TiltedRect, Clamp) {
   const TiltedRect r{{0, 0}, {4, 2}};
-  EXPECT_EQ(r.chebyshevTo({2, 1}), 0);
-  EXPECT_EQ(r.chebyshevTo({8, 1}), 4);
+  EXPECT_EQ(r.clampTilted({2, 1}), (Point{2, 1}));
   EXPECT_EQ(r.clampTilted({8, 1}), (Point{4, 1}));
 }
 
 TEST(TiltedRect, DegenerateDetection) {
   EXPECT_TRUE((TiltedRect{{1, 0}, {1, 5}}).degenerate());
-  EXPECT_TRUE((TiltedRect{{1, 2}, {1, 2}}).isPoint());
   EXPECT_FALSE((TiltedRect{{0, 0}, {2, 2}}).degenerate());
   EXPECT_TRUE((TiltedRect{{3, 0}, {1, 5}}).empty());
-}
-
-TEST(TiltedRect, SnapLatticeReturnsLatticePoint) {
-  const TiltedRect r{{0, 0}, {5, 5}};
-  for (std::int32_t u = -2; u < 8; ++u)
-    for (std::int32_t v = -2; v < 8; ++v) {
-      const Point p = r.snapLatticeXY({u, v});
-      const Point t = toTilted(p);
-      EXPECT_TRUE(tiltedOnLattice(t));
-    }
 }
 
 }  // namespace

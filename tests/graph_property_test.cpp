@@ -5,7 +5,6 @@
 
 #include "graph/clique_partition.hpp"
 #include "graph/min_cost_flow.hpp"
-#include "graph/mst.hpp"
 #include "graph/selection.hpp"
 
 namespace pacor::graph {
@@ -164,26 +163,6 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SelectionScaling,
                          ::testing::Values(SelectionSize{2, 2}, SelectionSize{3, 3},
                                            SelectionSize{4, 2}, SelectionSize{4, 4},
                                            SelectionSize{6, 3}, SelectionSize{8, 2}));
-
-// --- MST cost is invariant under point permutation ---------------------------
-
-class MstPermutation : public ::testing::TestWithParam<int> {};
-
-TEST_P(MstPermutation, CostIndependentOfInputOrder) {
-  std::mt19937 rng(static_cast<unsigned>(GetParam()));
-  std::vector<geom::Point> pts;
-  const std::size_t n = 3 + rng() % 10;
-  for (std::size_t i = 0; i < n; ++i)
-    pts.push_back({static_cast<std::int32_t>(rng() % 40),
-                   static_cast<std::int32_t>(rng() % 40)});
-  const auto baseline = totalCost(manhattanMst(pts));
-  for (int shuffleTrial = 0; shuffleTrial < 5; ++shuffleTrial) {
-    std::shuffle(pts.begin(), pts.end(), rng);
-    EXPECT_EQ(totalCost(manhattanMst(pts)), baseline);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, MstPermutation, ::testing::Range(1, 7));
 
 // --- Clique partition invariants over density sweep --------------------------
 

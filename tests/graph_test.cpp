@@ -1,68 +1,15 @@
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <random>
 #include <stdexcept>
 
 #include "graph/adjacency.hpp"
 #include "graph/clique_partition.hpp"
-#include "graph/dsu.hpp"
 #include "graph/min_cost_flow.hpp"
-#include "graph/mst.hpp"
 #include "graph/selection.hpp"
 
 namespace pacor::graph {
 namespace {
-
-TEST(Dsu, UniteAndFind) {
-  Dsu dsu(6);
-  EXPECT_TRUE(dsu.unite(0, 1));
-  EXPECT_TRUE(dsu.unite(2, 3));
-  EXPECT_FALSE(dsu.unite(1, 0));
-  EXPECT_TRUE(dsu.connected(0, 1));
-  EXPECT_FALSE(dsu.connected(0, 2));
-  EXPECT_TRUE(dsu.unite(1, 3));
-  EXPECT_TRUE(dsu.connected(0, 2));
-  EXPECT_EQ(dsu.setSize(3), 4u);
-  EXPECT_EQ(dsu.setSize(5), 1u);
-}
-
-TEST(Mst, ManhattanPrimSimple) {
-  const std::vector<geom::Point> pts{{0, 0}, {0, 3}, {4, 0}};
-  const auto tree = manhattanMst(pts);
-  ASSERT_EQ(tree.size(), 2u);
-  EXPECT_EQ(totalCost(tree), 7);
-}
-
-TEST(Mst, SinglePointAndEmpty) {
-  EXPECT_TRUE(manhattanMst({}).empty());
-  const std::vector<geom::Point> one{{5, 5}};
-  EXPECT_TRUE(manhattanMst(one).empty());
-}
-
-TEST(Mst, MatchesKruskalOnRandomPoints) {
-  std::mt19937 rng(42);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<geom::Point> pts;
-    const int n = 2 + static_cast<int>(rng() % 9);
-    for (int i = 0; i < n; ++i)
-      pts.push_back({static_cast<std::int32_t>(rng() % 50),
-                     static_cast<std::int32_t>(rng() % 50)});
-    std::vector<WeightedEdge> edges;
-    for (std::size_t i = 0; i < pts.size(); ++i)
-      for (std::size_t j = i + 1; j < pts.size(); ++j)
-        edges.push_back({i, j, geom::manhattan(pts[i], pts[j])});
-    const auto prim = manhattanMst(pts);
-    const auto kruskal = kruskalMst(pts.size(), edges);
-    EXPECT_EQ(totalCost(prim), totalCost(kruskal)) << "trial " << trial;
-  }
-}
-
-TEST(Kruskal, DisconnectedGraphGivesForest) {
-  std::vector<WeightedEdge> edges{{0, 1, 5}, {2, 3, 7}};
-  const auto forest = kruskalMst(4, edges);
-  EXPECT_EQ(forest.size(), 2u);
-}
 
 TEST(Adjacency, EdgesAndDegree) {
   AdjacencyMatrix g(70);  // spans multiple 64-bit words

@@ -34,15 +34,21 @@ TEST(Grid, BoundaryPredicate) {
   EXPECT_FALSE(g.onBoundary({4, 0}));  // out of bounds is not boundary
 }
 
+std::vector<geom::Point> neighborsOf(const Grid& g, geom::Point p) {
+  std::vector<geom::Point> out;
+  g.forNeighbors(p, [&](geom::Point q) { out.push_back(q); });
+  return out;
+}
+
 TEST(Grid, NeighborsInterior) {
   const Grid g(5, 5);
-  const auto n = g.neighbors({2, 2});
+  const auto n = neighborsOf(g, {2, 2});
   EXPECT_EQ(n.size(), 4u);
 }
 
 TEST(Grid, NeighborsCorner) {
   const Grid g(5, 5);
-  const auto n = g.neighbors({0, 0});
+  const auto n = neighborsOf(g, {0, 0});
   ASSERT_EQ(n.size(), 2u);
   const std::unordered_set<geom::Point> set(n.begin(), n.end());
   EXPECT_TRUE(set.contains({1, 0}));
@@ -100,12 +106,6 @@ TEST(ObstacleMap, ObstaclesBlock) {
   EXPECT_FALSE(map.isFree({1, 1}));
   EXPECT_FALSE(map.isFreeFor({1, 1}, 3));
   EXPECT_EQ(map.obstacleCount(), 1);
-}
-
-TEST(ObstacleMap, ObstacleRectClipped) {
-  ObstacleMap map(Grid(4, 4));
-  map.blockRect(geom::Rect{{2, 2}, {9, 9}});  // clipped to grid
-  EXPECT_EQ(map.obstacleCount(), 4);            // (2..3)x(2..3)
 }
 
 TEST(ObstacleMap, OccupyAndOwnership) {

@@ -102,7 +102,7 @@ TEST_P(SolverEquivalence, BucketMatchesHeapBitForBit) {
 
     MinCostFlow bucket = buildSolver(inst);
     MinCostFlow heap = buildSolver(inst);
-    heap.setBucketQueue(false);
+    heap.setBucketSpan(0);  // pure heap: every label overflows
 
     const auto rb = bucket.run(inst.s, inst.t);
     const auto rh = heap.run(inst.s, inst.t);
@@ -111,6 +111,7 @@ TEST_P(SolverEquivalence, BucketMatchesHeapBitForBit) {
     for (std::size_t e = 0; e < inst.edges.size(); ++e)
       ASSERT_EQ(bucket.flowOn(e), heap.flowOn(e))
           << "seed " << seed << " edge " << e;
+    ASSERT_EQ(heap.counters().bucketPushes, 0u) << "seed " << seed;
     heapOverflowSeen = heapOverflowSeen || bucket.counters().heapPushes > 0;
   }
   // The large-cost seeds (every third) must exercise the bucket queue's
@@ -134,12 +135,13 @@ TEST_P(SolverEquivalence, BucketSpanDoesNotChangeTheSolution) {
     const Instance inst = makeInstance(seed);
 
     MinCostFlow narrow = buildSolver(inst);
-    narrow.setBucketSpan(1);  // clamps to kMinBucketSpan
-    ASSERT_EQ(narrow.bucketSpan(), MinCostFlow::kMinBucketSpan);
+    narrow.setBucketSpan(1);  // only distance 0 is bucketed
+    ASSERT_EQ(narrow.bucketSpan(), 1);
     MinCostFlow wide = buildSolver(inst);
-    wide.setBucketSpan(MinCostFlow::kMaxBucketSpan);
+    wide.setBucketSpan(MinCostFlow::kMaxBucketSpan + 1);  // clamps to the ceiling
+    ASSERT_EQ(wide.bucketSpan(), MinCostFlow::kMaxBucketSpan);
     MinCostFlow heap = buildSolver(inst);
-    heap.setBucketQueue(false);
+    heap.setBucketSpan(0);
 
     const auto rn = narrow.run(inst.s, inst.t);
     const auto rw = wide.run(inst.s, inst.t);

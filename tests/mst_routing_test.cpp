@@ -14,9 +14,12 @@ struct PlainFixture {
   grid::ObstacleMap obs{grid::Grid(1, 1)};
   WorkCluster wc;
 
-  PlainFixture(std::int32_t size, const std::vector<Point>& valves) {
+  PlainFixture(std::int32_t size, const std::vector<Point>& valves)
+      : PlainFixture(size, size, valves) {}
+
+  PlainFixture(std::int32_t width, std::int32_t height, const std::vector<Point>& valves) {
     chip.name = "plain";
-    chip.routingGrid = grid::Grid(size, size);
+    chip.routingGrid = grid::Grid(width, height);
     for (const Point p : valves) {
       const auto id = static_cast<chip::ValveId>(chip.valves.size());
       chip.valves.push_back({id, p, chip::ActivationSequence("0")});
@@ -98,6 +101,36 @@ TEST(MstRouting, DeclusteringBottomsOutAtSingletons) {
   for (const auto& part : parts) {
     EXPECT_EQ(part.spec.valves.size(), 1u);
     EXPECT_TRUE(part.internallyRouted);
+  }
+}
+
+TEST(MstRouting, SplitHalvesStayOffEachOthersValves) {
+  // A wall on row 4 whose only gaps are the valve cells of C and D: the
+  // median split puts {A, B} on one side of it and {C, D} on the other.
+  // {A, B} cannot join without running over C, so it must split again
+  // instead of routing through a valve that {C, D} owns.
+  const Point a{1, 1}, b{2, 7}, c{5, 4}, d{9, 4};
+  PlainFixture fx(11, 9, {a, b, c, d});
+  for (std::int32_t x = 0; x < 11; ++x)
+    if (x != c.x && x != d.x) fx.obs.addObstacle({x, 4});
+  grid::NetId next = 10;
+  const auto allocate = [&next] { return next++; };
+  int splits = 0;
+  const auto parts = splitCluster(fx.chip, fx.obs, std::move(fx.wc), allocate, &splits);
+
+  std::vector<std::vector<chip::ValveId>> valveSets;
+  for (const WorkCluster& part : parts) valveSets.push_back(part.spec.valves);
+  EXPECT_EQ(valveSets, (std::vector<std::vector<chip::ValveId>>{{0}, {1}, {2, 3}}));
+  EXPECT_EQ(splits, 2);
+  for (const WorkCluster& part : parts) {
+    EXPECT_TRUE(part.internallyRouted);
+    const std::unordered_set<chip::ValveId> own(part.spec.valves.begin(),
+                                                part.spec.valves.end());
+    for (const route::Path& path : part.treePaths)
+      for (const Point cell : path)
+        for (const chip::Valve& v : fx.chip.valves)
+          EXPECT_FALSE(v.pos == cell && !own.contains(v.id))
+              << "a tree of part " << part.net << " crosses valve " << v.id;
   }
 }
 

@@ -33,6 +33,10 @@
 //       requests) is byte-identical to the independent one-shot run, and
 //       submitting it again is answered from the route memo with the same
 //       bytes,
+//   (f) stages 1-3 keep every cluster's tree off the other clusters'
+//       valve cells: in (b)'s replay, no cluster's tree path holds
+//       another cluster's valve cell, de-clustered halves included.
+//       Checked wherever (b) is,
 //   (g) ECO differential: a seeded random edit script (1-8 edits -- valve
 //       moves/adds/removes, obstacle adds/removes, cluster flips) is
 //       applied one delta at a time, chaining each rerouteChip() result
@@ -43,7 +47,7 @@
 //       be byte-equal to a cluster of the previous step's solution under
 //       the delta's valve renumbering,
 //   (h) FPVA valve arrays (every eighth seed) are oracle-clean when they
-//       claim completion, and are held to (b),
+//       claim completion, and are held to (b) and (f),
 //   (i) serve protocol round trip: random valid request lines re-parse to
 //       the same canonical text (format(parse(x)) == x), and arbitrary
 //       byte soup never crashes parseRequestLine / parseResponseLine --
@@ -75,6 +79,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -142,6 +147,8 @@ struct Tally {
   std::uint64_t clusters = 0;
   // Property (b): routes whose first escape pass failed no cluster.
   std::uint32_t firstPassWhole = 0;
+  // Property (f): stage 1-3 replays checked for trees over foreign valves.
+  std::uint32_t fencedReplays = 0;
   // Property (d): warm escape-session rounds checked against escapeRoute().
   std::uint32_t warmEscapeRounds = 0;
   // Property (g) eco-step mode counts -- the summary proves the sweep
@@ -403,13 +410,33 @@ std::string escapeReplayFailure(const chip::Chip& chip, const core::PacorConfig&
   return "";
 }
 
-/// Property (b) verdict for `result`, the routeChip(chip, cfg) answer;
-/// empty == pass. `whole` receives whether the replayed first escape pass
-/// failed no cluster.
+/// Property (f) verdict for a stage 1-3 replay; empty == pass.
+std::string foreignValveFailure(const chip::Chip& chip,
+                                const std::vector<core::WorkCluster>& clusters) {
+  std::unordered_map<geom::Point, std::size_t> clusterAtValve;
+  for (std::size_t i = 0; i < clusters.size(); ++i)
+    for (const chip::ValveId v : clusters[i].spec.valves)
+      clusterAtValve.emplace(chip.valve(v).pos, i);
+  for (std::size_t i = 0; i < clusters.size(); ++i)
+    for (const route::Path& path : clusters[i].treePaths)
+      for (const geom::Point cell : path)
+        if (const auto it = clusterAtValve.find(cell);
+            it != clusterAtValve.end() && it->second != i)
+          return "after stages 1-3, cluster " + std::to_string(i) + "'s tree runs over " +
+                 cell.str() + ", a valve of cluster " + std::to_string(it->second);
+  return "";
+}
+
+/// Properties (f) and (b) verdict for `result`, the routeChip(chip, cfg)
+/// answer; empty == pass. `tally` counts the replays (f) checked and the
+/// replayed first escape passes that failed no cluster.
 std::string firstPassFailure(const chip::Chip& chip, const core::PacorConfig& cfg,
-                             const core::PacorResult& result, bool& whole) {
+                             const core::PacorResult& result, Tally& tally) {
   grid::ObstacleMap obstacles = core::makeRoutingObstacleTemplate(chip);
   std::vector<core::WorkCluster> clusters = routeToEscape(chip, cfg, obstacles);
+  if (const std::string fail = foreignValveFailure(chip, clusters); !fail.empty())
+    return fail;
+  ++tally.fencedReplays;
   if (cfg.detourStage == core::DetourStage::kAfterClusterRouting)
     for (core::WorkCluster& wc : clusters)
       if (wc.lmStructured && wc.internallyRouted)
@@ -424,7 +451,8 @@ std::string firstPassFailure(const chip::Chip& chip, const core::PacorConfig& cf
     return "the replayed first escape pass (routed " + std::to_string(pass.routedCount) +
            ", cost " + std::to_string(pass.flowCost) + ") differs from routeChip's (routed " +
            std::to_string(firstRouted) + ", cost " + std::to_string(firstCost) + ")";
-  whole = pass.failed.empty();
+  const bool whole = pass.failed.empty();
+  tally.firstPassWhole += whole ? 1 : 0;
   if (whole && !result.complete)
     return "the first escape pass routes all " + std::to_string(clusters.size()) +
            " clusters, but the route ends incomplete after " +
@@ -666,14 +694,13 @@ bool runDesign(const Options& opt, serve::Server& server, std::uint32_t seed,
     ok = false;
   }
 
-  // (b) a first escape pass that routes every cluster ends complete.
-  bool whole = false;
-  if (const std::string fail = firstPassFailure(chip, cfg, result, whole); !fail.empty()) {
+  // (f) no tree over a foreign valve after stages 1-3, then (b) a first
+  // escape pass that routes every cluster ends complete.
+  if (const std::string fail = firstPassFailure(chip, cfg, result, tally); !fail.empty()) {
     std::cerr << "FAIL seed " << seed << ": " << fail << '\n';
     dumpRepro(opt, seed, chip, result);
     ok = false;
   }
-  tally.firstPassWhole += whole ? 1 : 0;
 
   // (d) the escape-flow session replays equal to escapeRoute().
   int warmRounds = 0;
@@ -766,8 +793,8 @@ bool runDesign(const Options& opt, serve::Server& server, std::uint32_t seed,
   // (h) FPVA valve arrays: every eighth seed also generates a randomized
   // N x M array chip (regular lattice, block clusters, boundary pin ring)
   // and holds it to the core invariant, oracle-clean when complete, and
-  // to (b). Keeps the generator's parameter space (ragged blocks, obstacle
-  // sprinkling, dense lm mixes) under the same harness as the
+  // to (f) and (b). Keeps the generator's parameter space (ragged blocks,
+  // obstacle sprinkling, dense lm mixes) under the same harness as the
   // Table-1-style instances.
   if (seed % 8 == 0) {
     const chip::Chip array = chip::generateFpvaChip(chip::randomFpvaParams(seed));
@@ -782,14 +809,12 @@ bool runDesign(const Options& opt, serve::Server& server, std::uint32_t seed,
       dumpRepro(opt, seed, array, arrayResult);
       ok = false;
     }
-    bool arrayWhole = false;
-    if (const std::string fail = firstPassFailure(array, cfg, arrayResult, arrayWhole);
+    if (const std::string fail = firstPassFailure(array, cfg, arrayResult, tally);
         !fail.empty()) {
       std::cerr << "FAIL seed " << seed << ": FPVA " << array.name << ": " << fail << '\n';
       dumpRepro(opt, seed, array, arrayResult);
       ok = false;
     }
-    tally.firstPassWhole += arrayWhole ? 1 : 0;
   }
 
   // (i) protocol round trip + junk-tolerance. Round trip: a random valid
@@ -895,7 +920,8 @@ int main(int argc, char** argv) {
 
   std::cout << "pacor_fuzz: " << tally.designs << " designs (base seed " << opt.seed
             << "), " << tally.complete << " routed to completion, " << tally.clusters
-            << " clusters total, " << tally.firstPassWhole
+            << " clusters total, " << tally.fencedReplays
+            << " replays kept every tree off foreign valves, " << tally.firstPassWhole
             << " whole first escape passes ended complete, " << tally.warmEscapeRounds
             << " warm escape rounds replayed, eco steps " << tally.ecoIdentity << " identity / "
             << tally.ecoIncremental << " incremental / " << tally.ecoFull
